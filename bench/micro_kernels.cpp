@@ -63,7 +63,8 @@ void BM_SchedulerDensePeriodic(benchmark::State& state) {
     sched.run();
     benchmark::DoNotOptimize(sched.processed());
   }
-  state.SetItemsProcessed(state.iterations() * 8 * kFires);
+  state.SetItemsProcessed(state.iterations() * 8 *
+                          static_cast<benchmark::IterationCount>(kFires));
 }
 BENCHMARK(BM_SchedulerDensePeriodic);
 

@@ -30,8 +30,8 @@ ClockGenerator::ClockGenerator(sim::Scheduler& sched,
     : sched_{sched},
       cfg_{config},
       schedule_{to_schedule_config(config)},
-      tel_{sched.telemetry(), "clockgen"},
-      origin_{sched.now()} {
+      origin_{sched.now()},
+      tel_{sched.telemetry(), "clockgen"} {
   if (auto* m = tel_.metrics()) {
     m->probe("clockgen.captures", [this] {
       return static_cast<double>(captures_);
@@ -102,9 +102,25 @@ Time ClockGenerator::wake_latency_for(bool was_asleep) {
   return wake;
 }
 
-std::uint64_t ClockGenerator::settle_capture(
-    const SamplingSchedule::Measurement& m, Time delta, bool was_asleep,
-    Time wake, Time sample_abs) {
+ClockGenerator::Pending ClockGenerator::measure_capture(
+    std::uint32_t sync_edges, Time delta) {
+  if (capture_pending_) {
+    throw std::logic_error(
+        "ClockGenerator: capture while another request is in flight "
+        "(AER 4-phase handshake should serialise requests)");
+  }
+  Pending p;
+  p.delta = delta;
+  p.was_asleep = schedule_.is_asleep_at(delta);
+  p.wake = wake_latency_for(p.was_asleep);
+  util::ProfScope prof{util::ProfSite::kScheduleMeasure};
+  p.m = schedule_.measure(delta, sync_edges, p.wake);
+  return p;
+}
+
+std::uint64_t ClockGenerator::settle_capture(const Pending& p,
+                                             Time sample_abs) {
+  const auto& [m, delta, was_asleep, wake] = p;
   // Close the books on the interval [origin_, sample edge].
   if (was_asleep) {
     // Ring ran for the full schedule, paused, and restarted at the
@@ -145,48 +161,22 @@ std::uint64_t ClockGenerator::settle_capture(
 }
 
 void ClockGenerator::capture_request(std::uint32_t sync_edges, CaptureFn done) {
-  if (capture_pending_) {
-    throw std::logic_error(
-        "ClockGenerator: capture while another request is in flight "
-        "(AER 4-phase handshake should serialise requests)");
-  }
+  const Pending p = measure_capture(sync_edges, elapsed());
   capture_pending_ = true;
-  const Time delta = elapsed();
-  const bool was_asleep = schedule_.is_asleep_at(delta);
-  const Time wake = wake_latency_for(was_asleep);
-  const auto m = [&] {
-    util::ProfScope prof{util::ProfSite::kScheduleMeasure};
-    return schedule_.measure(delta, sync_edges, wake);
-  }();
-  const Time sample_abs = origin_ + m.sample_edge;
-
-  sched_.schedule_at(
-      sample_abs, [this, m, delta, was_asleep, wake, done = std::move(done)] {
-        const std::uint64_t ticks =
-            settle_capture(m, delta, was_asleep, wake, sched_.now());
-        capture_pending_ = false;
-        done(sched_.now(), ticks, m.saturated);
-      });
+  sched_.schedule_at(origin_ + p.m.sample_edge,
+                     [this, p, done = std::move(done)] {
+                       const std::uint64_t ticks =
+                           settle_capture(p, sched_.now());
+                       capture_pending_ = false;
+                       done(sched_.now(), ticks, p.m.saturated);
+                     });
 }
 
 ClockGenerator::CaptureResult ClockGenerator::capture_now(
     std::uint32_t sync_edges, Time req_abs) {
-  if (capture_pending_) {
-    throw std::logic_error(
-        "ClockGenerator: capture while another request is in flight "
-        "(AER 4-phase handshake should serialise requests)");
-  }
-  const Time delta = req_abs - origin_;
-  const bool was_asleep = schedule_.is_asleep_at(delta);
-  const Time wake = wake_latency_for(was_asleep);
-  const auto m = [&] {
-    util::ProfScope prof{util::ProfSite::kScheduleMeasure};
-    return schedule_.measure(delta, sync_edges, wake);
-  }();
-  const Time sample_abs = origin_ + m.sample_edge;
-  const std::uint64_t ticks =
-      settle_capture(m, delta, was_asleep, wake, sample_abs);
-  return {sample_abs, ticks, m.saturated};
+  const Pending p = measure_capture(sync_edges, req_abs - origin_);
+  const Time sample_abs = origin_ + p.m.sample_edge;
+  return {sample_abs, settle_capture(p, sample_abs), p.m.saturated};
 }
 
 void ClockGenerator::trace_closed_interval(Time old_origin, Time end_rel,

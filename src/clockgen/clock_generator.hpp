@@ -121,12 +121,21 @@ class ClockGenerator {
   void rebuild_schedule();
   /// Wake latency for this capture, including the restart-jitter lottery.
   [[nodiscard]] Time wake_latency_for(bool was_asleep);
+  /// A measured capture awaiting its sample edge.
+  struct Pending {
+    SamplingSchedule::Measurement m;
+    Time delta;       ///< request instant, relative to origin_
+    bool was_asleep;  ///< the ring had shut down before the request
+    Time wake;        ///< wake latency drawn for this capture
+  };
+  /// Request-instant body shared by capture_request and capture_now: the
+  /// in-flight check, the wake-latency lottery and the schedule measurement
+  /// of a request `delta` after origin_.
+  [[nodiscard]] Pending measure_capture(std::uint32_t sync_edges, Time delta);
   /// Close the books on the interval ending at the sample edge: activity
   /// accounting, capture count, retroactive tracing, origin reset and the
   /// period-jitter lottery. Returns the (possibly jittered) latched ticks.
-  std::uint64_t settle_capture(const SamplingSchedule::Measurement& m,
-                               Time delta, bool was_asleep, Time wake,
-                               Time sample_abs);
+  std::uint64_t settle_capture(const Pending& p, Time sample_abs);
   [[nodiscard]] Time elapsed() const { return sched_.now() - origin_; }
   /// Materialise the FSM trace of a just-closed inter-capture interval:
   /// between captures the division level is a pure function of elapsed

@@ -51,18 +51,17 @@ FastPathOutcome run_fast_path(sim::Scheduler& sched, AerToI2sInterface& iface,
     // gap, then REQ rises one address-setup later (aer::AerSender::launch).
     const Time launch = std::max(ev.time, earliest_next_launch);
     const Time req_rise = launch + st.addr_setup;
-    // Measure at the request instant (metastability lottery + clock-
-    // generator capture — the same calls, in the same RNG draw order, as
-    // handle_request); the sample-edge work is committed after every pop
-    // that precedes the edge, so the FIFO sees pushes and pops in exact
+    // Measure at the request instant (the front end's request-instant body,
+    // as the DES runs it); the sample-edge work is committed after every
+    // pop that precedes the edge, so the FIFO sees pushes and pops in exact
     // timeline order.
-    const auto cap = fe.fast_capture_begin(ev.address, req_rise);
-    run_pops_before(cap.edge, req_rise);
-    fe.fast_capture_commit(cap);
+    const auto cap = fe.capture_at(ev.address, req_rise);
+    run_pops_before(cap.sample.edge, req_rise);
+    fe.commit_capture(cap);
     // Receiver side closes the 4-phase handshake on a fixed delay chain:
     // sample edge -> ACK rise -> REQ fall -> ACK fall (AerFrontEnd /
     // AerSender observers).
-    const Time ack_rise = cap.edge + fc.ack_rise_delay;
+    const Time ack_rise = cap.sample.edge + fc.ack_rise_delay;
     const Time req_fall = ack_rise + st.req_release;
     const Time ack_fall = req_fall + fc.ack_fall_delay;
     ++out.handshakes;

@@ -4,12 +4,13 @@
 // clock generator already models its divided-clock state in closed form,
 // the AER handshake is a fixed delay chain, and the I2S drain pops words on
 // a fixed grid. The reference DES path nevertheless pays ~6 scheduler
-// events per spike plus one per drained word. This module replays the exact
-// same component code (the real ClockGenerator / AerFrontEnd / FIFO /
-// I2sMaster objects, via the narrow hooks capture_now / fast_capture_* /
-// step_word) on a merged virtual timeline, touching the scheduler only to
-// fast-forward now() at the end — so every counter, record, RNG draw and
-// accounting value is bit-identical to the event-driven run.
+// events per spike plus one per drained word. This module drives the same
+// per-event bodies the DES drives (the real ClockGenerator / AerFrontEnd /
+// FIFO / I2sMaster objects: AerFrontEnd::capture_at / commit_capture and
+// I2sMaster::step_word) on a merged virtual timeline, touching the
+// scheduler only to fast-forward now() at the end — so every counter,
+// record, RNG draw and accounting value is bit-identical to the
+// event-driven run.
 //
 // The only cross-component ordering that matters is FIFO pushes (at sample
 // edges) versus FIFO pops (at I2S word deadlines); the interpreter merges

@@ -176,6 +176,16 @@ struct Session::Impl {
     watchdog_period = scenario.faults.recovery.watchdog_timeout;
   }
 
+  /// The sender and the MCU carry their own flags in the blob; the front
+  /// end's record retention is re-applied from keep_history on restore.
+  void set_keep_history(bool keep) {
+    keep_history = keep;
+    sender->set_keep_sent(keep);
+    mcu->set_keep_events(keep);
+    iface->front_end().set_keep_records(
+        keep && scenario.interface.front_end.keep_records);
+  }
+
   void harvest(Time now) {
     if (!keep_history) return;
     util::ProfScope prof{util::ProfSite::kHarvest};
@@ -511,11 +521,7 @@ struct Session::Impl {
 
     started = r.b();
     span_open = r.b();
-    keep_history = r.b();
-    if (!keep_history) {
-      sender->set_keep_sent(false);
-      mcu->set_keep_events(false);
-    }
+    set_keep_history(r.b());
     fed_total = r.u64();
     have_first_event = r.b();
     first_event_time = r.time();
@@ -720,11 +726,7 @@ RunResult Session::finish() { return impl_->finish(); }
 
 bool Session::finished() const { return impl_->done; }
 
-void Session::set_keep_history(bool keep) {
-  impl_->keep_history = keep;
-  impl_->sender->set_keep_sent(keep);
-  impl_->mcu->set_keep_events(keep);
-}
+void Session::set_keep_history(bool keep) { impl_->set_keep_history(keep); }
 
 telemetry::TelemetrySession* Session::telemetry_session() {
   return impl_->tel;

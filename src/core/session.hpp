@@ -131,11 +131,13 @@ class Session {
 
   // --- service-mode knobs / component access --------------------------------
 
-  /// Drop per-event history (sender sent-log, MCU decoded-event log,
-  /// delivery-latency harvest) so an endless ingest loop runs at a
-  /// steady-state RSS ceiling. Call before the first advance. RunResult
-  /// fields derived from the dropped logs (decoded, delivery latencies,
-  /// error stats over records) come back empty; counters are unaffected.
+  /// Drop per-event history (sender sent-log, front-end capture records,
+  /// MCU decoded-event log, delivery-latency harvest) so an endless ingest
+  /// loop and its snapshots stay at a steady-state size. Call before the
+  /// first advance; restore() re-applies the snapshot's setting. RunResult
+  /// fields derived from the dropped logs (records, decoded, delivery
+  /// latencies, error stats over records) come back empty; counters are
+  /// unaffected.
   void set_keep_history(bool keep);
 
   /// The resolved telemetry session (null when telemetry is off).

@@ -49,7 +49,8 @@ bool AerFrontEnd::resync(Time now) {
   return true;
 }
 
-void AerFrontEnd::handle_request(Time t) {
+std::uint32_t AerFrontEnd::begin_capture(Capture& c, std::uint16_t addr,
+                                         Time t) {
   std::uint32_t sync = cfg_.sync_stages;
   if (cfg_.metastability_prob > 0.0 &&
       rng_.bernoulli(cfg_.metastability_prob)) {
@@ -57,25 +58,29 @@ void AerFrontEnd::handle_request(Time t) {
     ++metastable_;
     tel_.instant("metastable", t);
   }
-  const aer::Event request{channel_.addr(), t};
+  c.request = aer::Event{addr, t};
   // The address register can latch a corrupted bus (fault injection); the
   // ground-truth record keeps the address the sender actually drove.
-  std::uint16_t latched = request.address;
+  c.latched = addr;
   if (faults_ != nullptr &&
       faults_->roll(fault::Site::kAddrBus,
                     faults_->plan().aer.addr_bit_flip_prob)) {
-    latched ^= static_cast<std::uint16_t>(
+    c.latched ^= static_cast<std::uint16_t>(
         1u << faults_->pick_bit(fault::Site::kAddrBus, aer::kAddressBits));
     ++faults_->counters().addr_flips;
   }
-  in_flight_ = true;
   if (tel_.tracing()) [[unlikely]] {
-    tel_.begin("capture", t,
-               {{"addr", static_cast<double>(request.address)}});
+    tel_.begin("capture", t, {{"addr", static_cast<double>(addr)}});
   }
+  return sync;
+}
+
+void AerFrontEnd::handle_request(Time t) {
+  Capture c{};
+  const std::uint32_t sync = begin_capture(c, channel_.addr(), t);
+  in_flight_ = true;
   clkgen_.capture_request(
-      sync, [this, request, latched](Time edge, std::uint64_t ticks,
-                                     bool saturated) {
+      sync, [this, c](Time edge, std::uint64_t ticks, bool saturated) mutable {
         in_flight_ = false;
         if (faults_ != nullptr && !channel_.req()) {
           // Level-confirmed sampling: the REQ level collapsed under us (a
@@ -85,77 +90,38 @@ void AerFrontEnd::handle_request(Time t) {
           tel_.end("capture", edge);
           return;
         }
-        // At the sample edge: ADDR was stable since before REQ, so the
-        // address register holds it; the counter value is latched with it.
-        const aer::AetrWord word =
-            saturated ? aer::AetrWord::saturated(latched)
-                      : aer::AetrWord::make(latched, ticks);
-        ++events_;
-        if (word.is_saturated()) {
-          ++saturated_;
-          // The timestamp counter rolled over its measurable span: the
-          // clock had shut down and the word carries the saturation tag.
-          tel_.instant("ts_rollover", edge);
-        }
-        tel_.end("capture", edge);
-        if (isi_hist_ != nullptr) [[unlikely]] {
-          if (have_last_edge_) isi_hist_->add((edge - last_edge_).to_sec());
-          last_edge_ = edge;
-          have_last_edge_ = true;
-        }
-        if (cfg_.keep_records) {
-          if (cfg_.max_records > 0 && records_.size() >= cfg_.max_records) {
-            records_.erase(records_.begin(),
-                           records_.begin() +
-                               static_cast<std::ptrdiff_t>(records_.size() / 2));
-          }
-          records_.push_back(CaptureRecord{request, edge, word});
-        }
-        if (word_fn_) word_fn_(word, edge);
+        c.sample = {edge, ticks, saturated};
+        commit_capture(c);
         sched_.schedule_after(cfg_.ack_rise_delay,
                               [this] { channel_.assert_ack(); });
       });
 }
 
-AerFrontEnd::FastCapture AerFrontEnd::fast_capture_begin(std::uint16_t addr,
-                                                         Time req_abs) {
-  std::uint32_t sync = cfg_.sync_stages;
-  if (cfg_.metastability_prob > 0.0 &&
-      rng_.bernoulli(cfg_.metastability_prob)) {
-    ++sync;  // the first FF went metastable; one extra edge to resolve
-    ++metastable_;
-    tel_.instant("metastable", req_abs);
-  }
-  const aer::Event request{addr, req_abs};
-  std::uint16_t latched = request.address;
-  if (faults_ != nullptr &&
-      faults_->roll(fault::Site::kAddrBus,
-                    faults_->plan().aer.addr_bit_flip_prob)) {
-    latched ^= static_cast<std::uint16_t>(
-        1u << faults_->pick_bit(fault::Site::kAddrBus, aer::kAddressBits));
-    ++faults_->counters().addr_flips;
-  }
-  if (tel_.tracing()) [[unlikely]] {
-    tel_.begin("capture", req_abs,
-               {{"addr", static_cast<double>(request.address)}});
-  }
-  const auto cap = clkgen_.capture_now(sync, req_abs);
-  return FastCapture{request, latched, cap.edge, cap.ticks, cap.saturated};
+AerFrontEnd::Capture AerFrontEnd::capture_at(std::uint16_t addr,
+                                             Time req_abs) {
+  Capture c{};
+  c.sample = clkgen_.capture_now(begin_capture(c, addr, req_abs), req_abs);
+  return c;
 }
 
-void AerFrontEnd::fast_capture_commit(const FastCapture& c) {
-  const aer::AetrWord word = c.saturated
-                                 ? aer::AetrWord::saturated(c.latched)
-                                 : aer::AetrWord::make(c.latched, c.ticks);
+void AerFrontEnd::commit_capture(const Capture& c) {
+  // At the sample edge: ADDR was stable since before REQ, so the address
+  // register holds it; the counter value is latched with it.
+  const Time edge = c.sample.edge;
+  const aer::AetrWord word =
+      c.sample.saturated ? aer::AetrWord::saturated(c.latched)
+                         : aer::AetrWord::make(c.latched, c.sample.ticks);
   ++events_;
   if (word.is_saturated()) {
     ++saturated_;
-    tel_.instant("ts_rollover", c.edge);
+    // The timestamp counter rolled over its measurable span: the clock
+    // had shut down and the word carries the saturation tag.
+    tel_.instant("ts_rollover", edge);
   }
-  tel_.end("capture", c.edge);
+  tel_.end("capture", edge);
   if (isi_hist_ != nullptr) [[unlikely]] {
-    if (have_last_edge_) isi_hist_->add((c.edge - last_edge_).to_sec());
-    last_edge_ = c.edge;
+    if (have_last_edge_) isi_hist_->add((edge - last_edge_).to_sec());
+    last_edge_ = edge;
     have_last_edge_ = true;
   }
   if (cfg_.keep_records) {
@@ -164,9 +130,9 @@ void AerFrontEnd::fast_capture_commit(const FastCapture& c) {
                      records_.begin() +
                          static_cast<std::ptrdiff_t>(records_.size() / 2));
     }
-    records_.push_back(CaptureRecord{c.request, c.edge, word});
+    records_.push_back(CaptureRecord{c.request, edge, word});
   }
-  if (word_fn_) word_fn_(word, c.edge);
+  if (word_fn_) word_fn_(word, edge);
 }
 
 void AerFrontEnd::save_state(BlobWriter& w) const {

@@ -91,23 +91,27 @@ class AerFrontEnd {
   /// capture was restarted.
   bool resync(Time now);
 
-  // --- fast path -----------------------------------------------------------
-  // The analytic interpreter (core/fast_path) bypasses the AER wire: it
-  // hands the address and the REQ-rise instant straight to the front-end.
-  // begin() performs everything handle_request does up to and including the
-  // clock-generator measurement (same RNG draw order, so fault and
-  // metastability lotteries stay bit-identical); commit() performs the
-  // sample-edge work (word, counters, records, word_fn_) and is deferred so
-  // the caller can order it against other timeline activity at the edge.
-  struct FastCapture {
+  // --- capture bodies ------------------------------------------------------
+  // A capture has a request-instant half (metastability and address-bus
+  // lotteries in a fixed RNG draw order, clock-generator measurement) and a
+  // sample-edge half (word, counters, records, word_fn_). The DES and the
+  // fast path run the same two bodies. The DES observes REQ on the wire
+  // and commits from the clock generator's sample-edge event. The analytic
+  // interpreter (core/fast_path) bypasses the wire: capture_at() takes the
+  // address and the REQ-rise instant directly, and the caller defers
+  // commit_capture() so it can order it against other timeline activity at
+  // the edge.
+  struct Capture {
     aer::Event request;     ///< ground-truth address + REQ rise time
     std::uint16_t latched;  ///< address as latched (post fault lottery)
-    Time edge;              ///< absolute sample-edge time
-    std::uint64_t ticks;    ///< latched timestamp-counter value
-    bool saturated;         ///< counter hit the saturation marker
+    clockgen::ClockGenerator::CaptureResult sample;  ///< edge, ticks, sat.
   };
-  FastCapture fast_capture_begin(std::uint16_t addr, Time req_abs);
-  void fast_capture_commit(const FastCapture& c);
+  Capture capture_at(std::uint16_t addr, Time req_abs);
+  void commit_capture(const Capture& c);
+
+  /// Stop (or resume) retaining CaptureRecords; records() then stays as it
+  /// is. Counters are unaffected.
+  void set_keep_records(bool keep) { cfg_.keep_records = keep; }
 
   /// Serialize RNG/records/counter state. Requires no capture in flight.
   /// The isi histogram pointer is re-acquired via the telemetry session at
@@ -117,6 +121,9 @@ class AerFrontEnd {
 
  private:
   void handle_request(Time t);
+  /// Request-instant body: fills c.request and c.latched, opens the capture
+  /// span and returns the synchroniser edge count.
+  std::uint32_t begin_capture(Capture& c, std::uint16_t addr, Time t);
 
   sim::Scheduler& sched_;
   aer::AerChannel& channel_;

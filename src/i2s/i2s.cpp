@@ -43,14 +43,8 @@ void I2sMaster::request_drain(Time now) {
   drain_start_ = now;
   tel_.begin("drain", now,
              {{"backlog", static_cast<double>(fifo_.size())}});
-  if (external_drive_) {
-    // Same deadline send_next() would have scheduled (backlog is non-empty
-    // here, so the DES path always schedules rather than finishing).
-    batch_remaining_ = fifo_.size();
-    next_due_ = now + word_time();
-    return;
-  }
-  send_next(fifo_.size());
+  batch_remaining_ = fifo_.size();
+  arm_next_word(now);
 }
 
 std::uint32_t I2sMaster::apply_line_noise(std::uint32_t raw) {
@@ -72,6 +66,15 @@ void I2sMaster::complete_drain(Time now) {
   if (drain_done_fn_) drain_done_fn_(now);
 }
 
+void I2sMaster::shift_out(std::uint32_t raw, bool forward, Time now) {
+  ++words_sent_;
+  bits_shifted_ += cfg_.word_bits;
+  if (forward && word_fn_) {
+    util::ProfScope prof{util::ProfSite::kWordPath};
+    word_fn_(aer::AetrWord{raw}, now);
+  }
+}
+
 void I2sMaster::finish_drain(Time now) {
   if (!crc_active_ || batch_words_.empty()) {
     complete_drain(now);
@@ -84,80 +87,44 @@ void I2sMaster::finish_drain(Time now) {
   const std::uint32_t crc = crc32_words(batch_words_);
   batch_words_.clear();
   sched_.schedule_after(word_time(), [this, crc] {
-    ++words_sent_;
-    bits_shifted_ += cfg_.word_bits;
+    const Time t = sched_.now();
     if (tel_.tracing()) [[unlikely]] {
-      tel_.instant("crc_word", sched_.now());
+      tel_.instant("crc_word", t);
     }
-    if (word_fn_) {
-      util::ProfScope prof{util::ProfSite::kWordPath};
-      word_fn_(aer::AetrWord{apply_line_noise(crc)}, sched_.now());
-    }
-    complete_drain(sched_.now());
+    // Unlike a payload word, the CRC slot draws line noise only when a
+    // receiver is attached.
+    shift_out(word_fn_ ? apply_line_noise(crc) : crc, true, t);
+    complete_drain(t);
   });
 }
 
-void I2sMaster::send_next(std::size_t remaining_in_batch) {
-  if (fifo_.empty() || remaining_in_batch == 0) {
-    finish_drain(sched_.now());
-    return;
+void I2sMaster::arm_next_word(Time now) {
+  if (external_drive_) {
+    next_due_ = now + word_time();
+  } else {
+    sched_.schedule_after(word_time(), [this] { step_word(sched_.now()); });
   }
-  sched_.schedule_after(word_time(), [this, remaining_in_batch] {
-    if (fifo_.empty()) {  // defensive: nothing to send after all
-      finish_drain(sched_.now());
-      return;
-    }
-    const aer::AetrWord word = fifo_.pop(sched_.now());
-    ++words_sent_;
-    bits_shifted_ += cfg_.word_bits;
-    if (tel_.tracing()) [[unlikely]] {
-      tel_.instant("word", sched_.now(),
-                   {{"remaining", static_cast<double>(fifo_.size())}});
-    }
-    if (faults_ != nullptr && !fifo_.last_pop_parity_ok()) {
-      // Parity-checked read caught a cell upset: the slot was consumed but
-      // the corrupt word is suppressed instead of forwarded.
-    } else {
-      std::uint32_t raw = word.raw();
-      if (faults_ != nullptr) raw = apply_line_noise(raw);
-      if (crc_active_) batch_words_.push_back(word.raw());
-      if (word_fn_) {
-        util::ProfScope prof{util::ProfSite::kWordPath};
-        word_fn_(aer::AetrWord{raw}, sched_.now());
-      }
-    }
-    const std::size_t next_remaining =
-        cfg_.drain_until_empty ? fifo_.size() : remaining_in_batch - 1;
-    send_next(next_remaining);
-  });
 }
 
 void I2sMaster::step_word(Time now) {
-  assert(external_drive_ && draining_ && now == next_due_);
+  assert(draining_ && (!external_drive_ || now == next_due_));
   next_due_ = Time::max();
   if (fifo_.empty()) {  // defensive: nothing to send after all
     finish_drain(now);
     return;
   }
   const aer::AetrWord word = fifo_.pop(now);
-  ++words_sent_;
-  bits_shifted_ += cfg_.word_bits;
   if (tel_.tracing()) [[unlikely]] {
     tel_.instant("word", now,
                  {{"remaining", static_cast<double>(fifo_.size())}});
   }
-  if (faults_ != nullptr && !fifo_.last_pop_parity_ok()) {
-    // Parity-checked read caught a cell upset: the slot was consumed but
-    // the corrupt word is suppressed instead of forwarded.
-  } else {
-    std::uint32_t raw = word.raw();
-    if (faults_ != nullptr) raw = apply_line_noise(raw);
-    if (crc_active_) batch_words_.push_back(word.raw());
-    if (word_fn_) {
-      util::ProfScope prof{util::ProfSite::kWordPath};
-      word_fn_(aer::AetrWord{raw}, now);
-    }
-  }
+  // A parity-checked read that caught a cell upset consumes the slot but
+  // suppresses the corrupt word instead of forwarding it.
+  const bool forward = faults_ == nullptr || fifo_.last_pop_parity_ok();
+  std::uint32_t raw = word.raw();
+  if (forward && faults_ != nullptr) raw = apply_line_noise(raw);
+  if (forward && crc_active_) batch_words_.push_back(word.raw());
+  shift_out(raw, forward, now);
   const std::size_t next_remaining =
       cfg_.drain_until_empty ? fifo_.size() : batch_remaining_ - 1;
   if (fifo_.empty() || next_remaining == 0) {
@@ -165,7 +132,7 @@ void I2sMaster::step_word(Time now) {
     return;
   }
   batch_remaining_ = next_remaining;
-  next_due_ = now + word_time();
+  arm_next_word(now);
 }
 
 void I2sMaster::save_state(BlobWriter& w) const {

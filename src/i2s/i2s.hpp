@@ -72,12 +72,13 @@ class I2sMaster {
   void attach_faults(fault::FaultInjector* faults);
 
   // --- external drive (fast path) ------------------------------------------
-  // In external-drive mode request_drain() arms a deadline instead of
-  // scheduling DES events; the analytic interpreter (core/fast_path) polls
-  // next_word_due() and calls step_word() at each deadline, interleaving
-  // word pops with FIFO pushes in exact timeline order. step_word() is the
-  // verbatim body of the per-word DES callback with `now` passed in. Not
-  // compatible with CRC batch framing (fault runs never take the fast path).
+  // step_word() is the one per-word body; the DES and the fast path differ
+  // only in where the next deadline goes. Under the DES it is a scheduler
+  // event that calls step_word(); in external-drive mode it is
+  // next_word_due(), which the analytic interpreter (core/fast_path) polls,
+  // calling step_word() at each deadline so word pops interleave with FIFO
+  // pushes in exact timeline order. Not compatible with CRC batch framing (fault
+  // runs never take the fast path).
   void set_external_drive(bool on) { external_drive_ = on; }
   [[nodiscard]] Time next_word_due() const { return next_due_; }
   void step_word(Time now);
@@ -95,7 +96,12 @@ class I2sMaster {
   void restore_state(BlobReader& r);
 
  private:
-  void send_next(std::size_t remaining_in_batch);
+  /// Schedule the next step_word(): a DES event, or next_due_ in
+  /// external-drive mode.
+  void arm_next_word(Time now);
+  /// One word slot on the wire: counters, then delivery to word_fn_ unless
+  /// `forward` is false (a suppressed slot still shifts its bits).
+  void shift_out(std::uint32_t raw, bool forward, Time now);
   void finish_drain(Time now);
   void complete_drain(Time now);
   [[nodiscard]] std::uint32_t apply_line_noise(std::uint32_t raw);
@@ -112,7 +118,7 @@ class I2sMaster {
   bool draining_{false};
   bool external_drive_{false};
   Time next_due_{Time::max()};        ///< next word pop (external mode)
-  std::size_t batch_remaining_{0};    ///< batch budget (external mode)
+  std::size_t batch_remaining_{0};    ///< words left in this batch
   Time drain_start_{Time::zero()};
   std::uint64_t words_sent_{0};
   std::uint64_t bits_shifted_{0};

@@ -1,9 +1,9 @@
 // Bit-exactness of the idle-skip fast path (core/fast_path.hpp): every
 // RunResult field must be byte-identical with session.fast_forward on vs off,
 // across rates that exercise the shutdown ladder, FIFO overflow, both
-// overflow policies, metastability, and the no-MCU/no-flush corners. Also
-// covers the fault-plan eligibility rule: a plan whose probabilities are
-// all zero must not force the reference path (satellite of ISSUE 6).
+// overflow policies, metastability, the no-MCU/no-flush corners, one-batch
+// drains and record trimming. Also covers the fault-plan eligibility rule:
+// a plan whose probabilities are all zero must not force the reference path.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -76,18 +76,23 @@ RunResult run_with(ScenarioConfig sc, const aer::EventStream& events,
 
 TEST(FastPathScenario, BitIdenticalAcrossRatesAndCorners) {
   for (const double rate : {500.0, 5e4, 8e5}) {
-    for (const unsigned variant : {0u, 1u, 2u, 3u}) {
+    for (const unsigned variant : {0u, 1u, 2u, 3u, 4u, 5u}) {
       SCOPED_TRACE(testing::Message() << "rate=" << rate
                                       << " variant=" << variant);
       ScenarioConfig base;
-      base.interface.fifo.batch_threshold = variant >= 2 ? 16u : 64u;
-      if (variant >= 2) base.interface.fifo.capacity_words = 24;
+      const bool small_fifo = variant == 2 || variant == 3;
+      base.interface.fifo.batch_threshold = small_fifo ? 16u : 64u;
+      if (small_fifo) base.interface.fifo.capacity_words = 24;
       if (variant == 3) {
         base.interface.fifo.overflow_policy =
             buffer::OverflowPolicy::kDropOldest;
         base.final_flush = false;
         base.attach_mcu = false;
       }
+      // One batch per drain: the I2S batch budget ends drains early.
+      if (variant == 4) base.interface.i2s.drain_until_empty = false;
+      // A small record cap: the front end trims its records mid-run.
+      if (variant == 5) base.interface.front_end.max_records = 100;
       base.interface.front_end.metastability_prob =
           (variant & 1u) != 0 ? 0.01 : 0.0;
       base.cooldown = Time::ms(2.0);

@@ -271,7 +271,7 @@ TEST(NetFrame, UnknownTypeAndReservedByteAreTerminal) {
 TEST(NetFrame, TypedDecodersRejectTrailingBytes) {
   auto payload = encode_credit(Credit{5});
   payload.push_back(0);
-  EXPECT_THROW(decode_credit(payload), std::runtime_error);
+  EXPECT_THROW((void)decode_credit(payload), std::runtime_error);
 
   auto hello = encode_hello(Hello{kProtocolVersion, "a", ""});
   hello.push_back(1);
