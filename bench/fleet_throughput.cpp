@@ -1,21 +1,97 @@
-// Fleet simulation throughput and energy proportionality (ISSUE 7
-// acceptance numbers). Runs run_fleet() across fleet sizes at a fixed
-// per-node activity and emits a JSON array on stdout, one entry per N,
-// consumed by `tools/bench_report.py fleet` (the `fleet_report` CMake
-// target) into BENCH_fleet.json.
+// Fleet simulation throughput and energy proportionality. Runs run_fleet()
+// across fleet sizes at a fixed per-node activity and emits one JSON object
+// on stdout, consumed by `tools/bench_report.py fleet` (the `fleet_report`
+// CMake target) into BENCH_fleet.json:
 //
-// Two numbers matter per N: node-phase throughput in events/sec/core
-// (how fast the sharded node runs burn through simulated events — the
-// scaling headline), and energy per delivered event (the fleet-level
-// figure of merit: it should fall as N grows while the uplink is
-// uncontended, then climb once contention drops deliveries).
+//   "series": one entry per N. Two numbers matter per N: node-phase
+//     throughput in events/sec/core (how fast the sharded node runs burn
+//     through simulated events), and energy per delivered event (the
+//     fleet-level figure of merit: it should fall as N grows while the
+//     uplink is uncontended, then climb once contention drops deliveries).
+//   "saturated": 1024 nodes x 2000 events on a saturated uplink, timed at
+//     --jobs 1 and --jobs N (all cores). End to end it is run_fleet()'s wall
+//     time; at the link layer it is that wall time minus the node phase
+//     (the same node jobs run through runtime::run_sweep alone).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <thread>
+#include <vector>
 
 #include "fleet/fleet.hpp"
+#include "runtime/sweep.hpp"
 #include "util/time.hpp"
+
+namespace {
+
+/// 30 kHz +- 10 % per node into a 4 Mwords/s uplink, which saturates
+/// between 64 and 256 nodes.
+aetr::fleet::FleetConfig fleet_config(std::size_t nodes, std::size_t events) {
+  aetr::fleet::FleetConfig cfg;
+  cfg.base.interface.front_end.keep_records = false;
+  cfg.base.interface.fifo.batch_threshold = 64;
+  cfg.nodes = nodes;
+  cfg.rate_hz = 30e3;
+  cfg.events_per_node = events;
+  cfg.rate_spread = 0.1;
+  cfg.link.bandwidth_words_per_sec = 4e6;
+  cfg.seed = 20260809;
+  return cfg;
+}
+
+template <class Fn>
+double best_wall_sec(int reps, const Fn& fn) {
+  double best = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    const double wall = std::chrono::duration<double>(t1 - t0).count();
+    if (rep == 0 || wall < best) best = wall;
+  }
+  return best;
+}
+
+/// run_fleet()'s node phase on its own: one run_scenario job per node.
+void node_phase(const aetr::fleet::FleetConfig& cfg, std::size_t jobs) {
+  aetr::runtime::SweepGrid grid;
+  std::vector<double> ids(cfg.nodes);
+  std::iota(ids.begin(), ids.end(), 0.0);
+  grid.axis("node", ids);
+  aetr::runtime::SweepOptions so;
+  so.jobs = jobs;
+  so.seed = cfg.seed;
+  (void)aetr::runtime::run_sweep(
+      grid, [&cfg](const aetr::runtime::JobContext& ctx) {
+        const auto node = static_cast<std::size_t>(ctx.point.at("node"));
+        (void)aetr::core::run_scenario(aetr::fleet::node_scenario(cfg, node),
+                                       aetr::fleet::node_stream(cfg, node));
+        return aetr::runtime::JobOutput{};
+      },
+      so);
+}
+
+/// Wall time and node-phase share of the saturated fleet at one --jobs.
+struct SaturatedTiming {
+  double wall_sec;
+  double node_sec;
+  double link_sec() const { return std::max(wall_sec - node_sec, 0.0); }
+};
+
+SaturatedTiming time_saturated(const aetr::fleet::FleetConfig& cfg,
+                               std::size_t jobs, int reps) {
+  aetr::fleet::FleetOptions options;
+  options.jobs = jobs;
+  const double wall = best_wall_sec(reps, [&] {
+    (void)aetr::fleet::run_fleet(cfg, options);
+  });
+  const double node = best_wall_sec(reps, [&] { node_phase(cfg, jobs); });
+  return {wall, node};
+}
+
+}  // namespace
 
 int main() {
   constexpr std::size_t kFleetSizes[] = {1, 8, 64, 256};
@@ -25,28 +101,15 @@ int main() {
   const unsigned hw = std::thread::hardware_concurrency();
   const std::size_t cores = hw != 0u ? hw : 1u;
 
-  std::printf("[\n");
+  std::printf("{\"series\": [\n");
   bool first = true;
   for (const std::size_t n : kFleetSizes) {
-    aetr::fleet::FleetConfig cfg;
-    cfg.base.interface.front_end.keep_records = false;
-    cfg.base.interface.fifo.batch_threshold = 64;
-    cfg.nodes = n;
-    cfg.rate_hz = 30e3;
-    cfg.events_per_node = kEventsPerNode;
-    cfg.rate_spread = 0.1;
-    cfg.link.bandwidth_words_per_sec = 4e6;
-    cfg.seed = 20260809;
+    const auto cfg = fleet_config(n, kEventsPerNode);
 
     aetr::fleet::FleetResult result;
-    double best = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
+    const double best = best_wall_sec(kReps, [&] {
       result = aetr::fleet::run_fleet(cfg);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double wall = std::chrono::duration<double>(t1 - t0).count();
-      if (rep == 0 || wall < best) best = wall;
-    }
+    });
 
     const double total_events = static_cast<double>(result.events_in_total);
     const double events_per_sec = best > 0.0 ? total_events / best : 0.0;
@@ -64,12 +127,27 @@ int main() {
         result.latency_p99_sec * 1e3);
     first = false;
     if (result.delivered_total == 0u) {
-      std::printf("\n]\n");
       std::fprintf(stderr,
                    "fleet_throughput: fleet of %zu delivered nothing\n", n);
       return 1;
     }
   }
-  std::printf("\n]\n");
+
+  // The size of the `fleet-saturated` perfbench workload.
+  const auto sat = fleet_config(1024, 2000);
+  const SaturatedTiming one = time_saturated(sat, 1, kReps);
+  const SaturatedTiming all = time_saturated(sat, cores, kReps);
+  const double sat_events =
+      static_cast<double>(sat.nodes * sat.events_per_node);
+  std::printf(
+      "\n], \"saturated\": {\"nodes\": %zu, \"events_total\": %.0f,"
+      " \"jobs_n\": %zu,"
+      " \"wall_sec_jobs1\": %.6f, \"wall_sec_jobsN\": %.6f,"
+      " \"node_sec_jobs1\": %.6f, \"node_sec_jobsN\": %.6f,"
+      " \"link_sec_jobs1\": %.6f, \"link_sec_jobsN\": %.6f,"
+      " \"events_per_sec_jobsN\": %.0f, \"jobs_speedup\": %.3f}}\n",
+      sat.nodes, sat_events, cores, one.wall_sec, all.wall_sec, one.node_sec,
+      all.node_sec, one.link_sec(), all.link_sec(), sat_events / all.wall_sec,
+      one.wall_sec / all.wall_sec);
   return 0;
 }

@@ -4,14 +4,19 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <ranges>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "gen/sources.hpp"
 #include "runtime/seed.hpp"
 #include "runtime/sweep.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/time.hpp"
 
 namespace aetr::fleet {
@@ -49,12 +54,25 @@ void pack_node(const core::RunResult& r, bool health,
                 static_cast<double>(r.faults.injected_total()),
                 static_cast<double>(r.faults.recovered_total()),
                 static_cast<double>(r.delivery_latency_sec.size())};
-  out.values.reserve(kNodeScalars + 2 * r.decoded.size() +
-                     (health ? kLedgerTail : 0));
-  for (std::size_t j = 0; j < r.decoded.size(); ++j) {
+  // One run per node, ordered by accept instant with decode order breaking
+  // ties. Harvest stamps words in order, but t_event + latency is rounded in
+  // double, so the order is checked here rather than assumed.
+  std::vector<std::pair<double, double>> run(r.decoded.size());
+  for (std::size_t j = 0; j < run.size(); ++j) {
     const double t_event = r.decoded[j].reconstructed_time.to_sec();
+    run[j] = {t_event + r.delivery_latency_sec[j], t_event};
+  }
+  const auto by_accept = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(run.begin(), run.end(), by_accept)) {
+    std::stable_sort(run.begin(), run.end(), by_accept);
+  }
+  out.values.reserve(kNodeScalars + 2 * run.size() +
+                     (health ? kLedgerTail : 0));
+  for (const auto& [t_accept, t_event] : run) {
     out.values.push_back(t_event);
-    out.values.push_back(t_event + r.delivery_latency_sec[j]);
+    out.values.push_back(t_accept);
   }
   if (health) {
     for (const double e : r.ledger.stage_energy_j) out.values.push_back(e);
@@ -112,12 +130,83 @@ bool offer_order(const Offer& a, const Offer& b) {
   return a.seq < b.seq;
 }
 
+/// The live prefix of one node's packed (t_event, t_accept) pairs, ordered
+/// by accept instant (pack_node).
+struct Run {
+  const double* pairs;
+  std::size_t live;
+  std::uint32_t node;
+
+  [[nodiscard]] double t_accept(std::size_t k) const {
+    return pairs[2 * k + 1];
+  }
+  /// Number of leading words whose accept instant satisfies `before`.
+  template <class Pred>
+  [[nodiscard]] std::size_t count_while(std::size_t n, Pred before) const {
+    const auto ks = std::views::iota(std::size_t{0}, n);
+    const auto it = std::ranges::partition_point(
+        ks, [&](std::size_t k) { return before(t_accept(k)); });
+    return static_cast<std::size_t>(it - ks.begin());
+  }
+};
+
+/// Time partitions per pool thread: enough slack that uneven partitions
+/// still keep every thread busy.
+constexpr std::size_t kPartitionsPerThread = 4;
+
+/// Merges one gateway's runs into `out` (sized to their total live words)
+/// in offer_order. [t_lo, t_hi] is cut into equal time partitions, a few
+/// per pool thread. Each partition finds its slice of every run by binary
+/// search; the words before its first cut give its offset in `out`. It
+/// gathers its slices there in node order and sorts them. Partitions hold
+/// disjoint time ranges and offer_order is a strict total order, so `out`
+/// is the global sort for any partition or thread count.
+void merge_runs(const std::vector<Run>& runs, runtime::ThreadPool& pool,
+                std::span<Offer> out) {
+  if (out.empty()) return;
+  double t_lo = std::numeric_limits<double>::infinity();
+  double t_hi = -t_lo;
+  for (const Run& r : runs) {
+    t_lo = std::min(t_lo, r.t_accept(0));
+    t_hi = std::max(t_hi, r.t_accept(r.live - 1));
+  }
+  const std::size_t parts = pool.thread_count() * kPartitionsPerThread;
+  // Words of `run` accepted before partition p starts; p == parts is past
+  // the end.
+  const auto before = [&](const Run& run, std::size_t p) {
+    if (p == parts) return run.live;
+    const double cut = t_lo + (t_hi - t_lo) * static_cast<double>(p) /
+                                  static_cast<double>(parts);
+    return run.count_while(run.live, [cut](double t) { return t < cut; });
+  };
+  for (std::size_t p = 0; p < parts; ++p) {
+    pool.submit([&, p] {
+      std::vector<std::pair<std::size_t, std::size_t>> slices(runs.size());
+      std::size_t start = 0;
+      for (std::size_t r = 0; r < runs.size(); ++r) {
+        slices[r] = {before(runs[r], p), before(runs[r], p + 1)};
+        start += slices[r].first;
+      }
+      Offer* const first = out.data() + start;
+      Offer* o = first;
+      for (std::size_t r = 0; r < runs.size(); ++r) {
+        for (std::size_t k = slices[r].first; k < slices[r].second; ++k) {
+          *o++ = Offer{runs[r].t_accept(k), runs[r].pairs[2 * k], runs[r].node,
+                       static_cast<std::uint32_t>(k)};
+        }
+      }
+      std::sort(first, o, &offer_order);
+    });
+  }
+  pool.wait_idle();
+}
+
 /// Single-server finite-buffer gateway uplink. Walks the time-sorted offers
 /// once; O(1) amortised per word for both policies. Buffer occupancy counts
 /// the in-service word until its completion instant; at equal instants the
 /// link frees a slot before a new arrival claims one.
 struct GatewaySim {
-  const std::vector<Offer>& offers;
+  std::span<const Offer> offers;
   double service_sec;
   std::size_t queue_words;
   Arbitration arbitration;
@@ -197,13 +286,16 @@ struct GatewaySim {
   }
 };
 
-/// Empirical quantile of an ascending-sorted sample (deterministic index
-/// method: the ceil(q*n)-th order statistic).
-double quantile_sorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
-  const auto idx = static_cast<std::size_t>(std::max(rank, 1.0)) - 1;
-  return sorted[std::min(idx, sorted.size() - 1)];
+/// Empirical quantile (deterministic index method: the ceil(q*n)-th order
+/// statistic), selected in place; `sample` is left partially reordered.
+double quantile(std::vector<double>& sample, double q) {
+  if (sample.empty()) return 0.0;
+  const double rank = std::ceil(q * static_cast<double>(sample.size()));
+  const auto idx = std::min(static_cast<std::size_t>(std::max(rank, 1.0)) - 1,
+                            sample.size() - 1);
+  const auto nth = sample.begin() + static_cast<std::ptrdiff_t>(idx);
+  std::nth_element(sample.begin(), nth, sample.end());
+  return *nth;
 }
 
 }  // namespace
@@ -223,7 +315,13 @@ void FleetConfig::validate() const {
   const auto fail = [](const std::string& what) {
     throw std::invalid_argument("fleet: " + what);
   };
+  // Uplink words carry 32-bit node ids and per-node sequence numbers.
+  constexpr auto kMaxIndex = std::numeric_limits<std::uint32_t>::max();
   if (nodes == 0) fail("nodes must be >= 1");
+  if (nodes > kMaxIndex) {
+    fail("nodes must be <= " + std::to_string(kMaxIndex) +
+         " (uplink words carry 32-bit node ids)");
+  }
   if (gateways == 0) fail("gateways must be >= 1");
   if (!(link.bandwidth_words_per_sec > 0.0) ||
       !std::isfinite(link.bandwidth_words_per_sec)) {
@@ -234,6 +332,10 @@ void FleetConfig::validate() const {
     fail("rate_hz must be finite and > 0");
   }
   if (events_per_node == 0) fail("events_per_node must be >= 1");
+  if (events_per_node > kMaxIndex) {
+    fail("events_per_node must be <= " + std::to_string(kMaxIndex) +
+         " (uplink words carry 32-bit sequence numbers)");
+  }
   if (rate_spread < 0.0 || rate_spread >= 1.0) {
     fail("rate_spread must be in [0, 1)");
   }
@@ -311,14 +413,17 @@ FleetResult run_fleet(const FleetConfig& config, const FleetOptions& options) {
   };
   const auto report = runtime::run_sweep(grid, job, so, nullptr);
 
-  // Phase 2: the shared-link replay, serial and in node-id order.
+  // Phase 2: the shared-link replay. Nodes are booked serially in node-id
+  // order; each gateway's runs are merged in parallel by time partition,
+  // then its queue is walked serially.
   FleetResult res;
   res.nodes.reserve(config.nodes);
   res.gateways.resize(config.gateways);
   for (std::size_t g = 0; g < config.gateways; ++g) {
     res.gateways[g].gateway_id = g;
   }
-  std::vector<std::vector<Offer>> offers(config.gateways);
+  std::vector<std::vector<Run>> runs(config.gateways);
+  std::vector<std::size_t> live_words(config.gateways, 0);
   double max_sim_end = 0.0;
   if (config.health) res.health.node_ledgers.reserve(config.nodes);
   for (std::size_t i = 0; i < config.nodes; ++i) {
@@ -342,17 +447,17 @@ FleetResult run_fleet(const FleetConfig& config, const FleetOptions& options) {
         n.sim_end_sec = death_sec;
       }
     }
-    for (std::size_t j = 0; j < pairs; ++j) {
-      const double t_event = v[kNodeScalars + 2 * j];
-      const double t_accept = v[kNodeScalars + 2 * j + 1];
-      if (t_accept > death_sec) {
-        ++n.dropped_dead;
-        ++res.gateways[g].dropped_dead;
-        continue;
-      }
-      offers[g].push_back(Offer{t_accept, t_event,
-                                static_cast<std::uint32_t>(i),
-                                static_cast<std::uint32_t>(j)});
+    // The run is ordered by accept instant, so the words accepted after
+    // the node went dark are a suffix.
+    Run run{v.data() + kNodeScalars, 0, static_cast<std::uint32_t>(i)};
+    run.live = run.count_while(pairs, [death_sec](double t) {
+      return t <= death_sec;
+    });
+    n.dropped_dead = pairs - run.live;
+    res.gateways[g].dropped_dead += n.dropped_dead;
+    if (run.live != 0) {
+      runs[g].push_back(run);
+      live_words[g] += run.live;
     }
     res.total_energy_j += n.energy_j;
     res.events_in_total += n.events_in;
@@ -363,11 +468,15 @@ FleetResult run_fleet(const FleetConfig& config, const FleetOptions& options) {
     if (config.health) res.health.node_ledgers.push_back(led);
   }
 
+  runtime::ThreadPool pool{options.jobs};
   std::vector<double> latencies;
   const double service_sec = 1.0 / config.link.bandwidth_words_per_sec;
   for (std::size_t g = 0; g < config.gateways; ++g) {
-    std::sort(offers[g].begin(), offers[g].end(), &offer_order);
-    GatewaySim sim{offers[g],          service_sec,
+    // Uninitialised: every slot is written once by its partition's thread.
+    const auto buffer = std::make_unique_for_overwrite<Offer[]>(live_words[g]);
+    const std::span<Offer> offers{buffer.get(), live_words[g]};
+    merge_runs(runs[g], pool, offers);
+    GatewaySim sim{offers,             service_sec,
                    config.link.queue_words, config.link.arbitration,
                    res.nodes,          res.gateways[g],
                    latencies};
@@ -376,10 +485,9 @@ FleetResult run_fleet(const FleetConfig& config, const FleetOptions& options) {
     res.dropped_link_total += res.gateways[g].dropped_link;
     max_sim_end = std::max(max_sim_end, res.gateways[g].span_sec);
   }
-  std::sort(latencies.begin(), latencies.end());
-  res.latency_p50_sec = quantile_sorted(latencies, 0.50);
-  res.latency_p99_sec = quantile_sorted(latencies, 0.99);
-  res.latency_p999_sec = quantile_sorted(latencies, 0.999);
+  res.latency_p50_sec = quantile(latencies, 0.50);
+  res.latency_p99_sec = quantile(latencies, 0.99);
+  res.latency_p999_sec = quantile(latencies, 0.999);
 
   // Health roll-up: now that the link phase has decided every event's fate,
   // book each node's outcome counts, finalize its energy split, and sum the
@@ -411,15 +519,12 @@ FleetResult run_fleet(const FleetConfig& config, const FleetOptions& options) {
       fracs.push_back(n.delivered_fraction());
     }
     h.fleet.finalize_outcomes();
-    std::sort(energies.begin(), energies.end());
-    std::sort(powers.begin(), powers.end());
-    std::sort(fracs.begin(), fracs.end());
-    h.node_energy_p50_j = quantile_sorted(energies, 0.50);
-    h.node_energy_p99_j = quantile_sorted(energies, 0.99);
-    h.node_power_p50_w = quantile_sorted(powers, 0.50);
-    h.node_power_p99_w = quantile_sorted(powers, 0.99);
-    h.delivered_frac_p50 = quantile_sorted(fracs, 0.50);
-    h.delivered_frac_min = fracs.front();
+    h.node_energy_p50_j = quantile(energies, 0.50);
+    h.node_energy_p99_j = quantile(energies, 0.99);
+    h.node_power_p50_w = quantile(powers, 0.50);
+    h.node_power_p99_w = quantile(powers, 0.99);
+    h.delivered_frac_p50 = quantile(fracs, 0.50);
+    h.delivered_frac_min = *std::min_element(fracs.begin(), fracs.end());
   }
 
   // Fleet-level telemetry: value-capturing probes (safe to move with the

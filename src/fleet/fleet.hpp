@@ -17,16 +17,23 @@
 //      a plain run_scenario() — node 0 of an N=1 fleet is bit-identical to
 //      a standalone run (asserted in tests/test_fleet.cpp), and the
 //      idle-skip fast path stays eligible per-node.
-//   2. Link phase (serial post-processing). Every decoded event becomes one
-//      uplink word offered to the node's gateway (node % gateways) at the
-//      instant the node-side MCU accepted it. The gateway uplink is a
-//      single-server queue: `bandwidth_words_per_sec` words drain per
-//      second, at most `queue_words` words are buffered (in-service word
-//      included — the same finite-buffer semantics as the node FIFO), and
-//      arbitration is FIFO (global arrival order, node id breaking ties) or
-//      round-robin (one word per node per turn). Words offered to a full
-//      buffer are dropped, mirroring the single-node backpressure story at
-//      fleet scale.
+//   2. Link phase. Every decoded event becomes one uplink word offered to
+//      the node's gateway (node % gateways) at the instant the node-side
+//      MCU accepted it. The gateway uplink is a single-server queue:
+//      `bandwidth_words_per_sec` words drain per second, at most
+//      `queue_words` words are buffered (in-service word included — the
+//      same finite-buffer semantics as the node FIFO), and arbitration is
+//      FIFO (global arrival order, node id breaking ties) or round-robin
+//      (one word per node per turn). Words offered to a full buffer are
+//      dropped, mirroring the single-node backpressure story at fleet scale.
+//      Each node job hands back its words as one run ordered by accept
+//      instant, so a dead node's late words are a suffix. A gateway's runs
+//      are merged in parallel: the time span is cut into a few partitions
+//      per thread, each partition gathers its slice of every run (found by
+//      binary search) into its own range of one buffer and sorts it. The
+//      partitions are disjoint in time and the word order is strict, so the
+//      merged sequence is the global arrival order whatever the thread or
+//      partition count. The queue walk over it stays serial.
 //
 // The determinism contract is the repo's signature guarantee: FleetResult
 // is a pure function of FleetConfig — byte-identical for any --jobs value.
@@ -196,7 +203,8 @@ struct FleetResult {
 };
 
 struct FleetOptions {
-  /// Worker threads for the node phase; 0 = hardware_concurrency.
+  /// Worker threads for the node phase and the link merge;
+  /// 0 = hardware_concurrency.
   std::size_t jobs = 0;
   /// Called after each node lands: (done, total).
   std::function<void(std::size_t, std::size_t)> progress;

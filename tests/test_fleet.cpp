@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "fleet/fleet.hpp"
@@ -30,11 +34,108 @@ FleetConfig small_fleet() {
   return cfg;
 }
 
+/// Every NodeResult and GatewayResult field plus the fleet totals, one
+/// record per line; %.17g round-trips each double exactly.
+std::string describe(const FleetResult& r) {
+  std::string text;
+  char buf[512];
+  for (const NodeResult& n : r.nodes) {
+    std::snprintf(buf, sizeof buf,
+                  "node %zu %" PRIu64 " %.17g %.17g %.17g %.17g %.17g %" PRIu64
+                  " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
+                  " %" PRIu64 " %" PRIu64 " %d\n",
+                  n.node_id, n.seed, n.rate_hz, n.energy_j, n.average_power_w,
+                  n.sim_end_sec, n.err_weighted_rel, n.events_in, n.decoded,
+                  n.delivered, n.dropped_link, n.dropped_dead,
+                  n.fifo_overflows, n.faults_injected, n.faults_recovered,
+                  n.budget_exhausted ? 1 : 0);
+    text += buf;
+  }
+  for (const GatewayResult& g : r.gateways) {
+    std::snprintf(buf, sizeof buf,
+                  "gateway %zu %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
+                  " %.17g %.17g\n",
+                  g.gateway_id, g.offered, g.delivered, g.dropped_link,
+                  g.dropped_dead, g.busy_sec, g.span_sec);
+    text += buf;
+  }
+  std::snprintf(buf, sizeof buf,
+                "fleet %.17g %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
+                " %" PRIu64 " %.17g %.17g %.17g\n",
+                r.total_energy_j, r.events_in_total, r.decoded_total,
+                r.delivered_total, r.dropped_link_total, r.dropped_dead_total,
+                r.latency_p50_sec, r.latency_p99_sec, r.latency_p999_sec);
+  return text + buf;
+}
+
+/// FNV-1a over describe(): pins a whole FleetResult in one integer.
+std::uint64_t digest(const FleetResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : describe(r)) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+FleetResult run_with_jobs(const FleetConfig& cfg, std::size_t jobs) {
+  FleetOptions options;
+  options.jobs = jobs;
+  return run_fleet(cfg, options);
+}
+
+/// A fleet whose uplink is contended, so arbitration decides who gets
+/// through and the link order matters.
+FleetConfig contended_fleet() {
+  FleetConfig cfg = small_fleet();
+  cfg.nodes = 24;
+  cfg.rate_spread = 0.3;
+  cfg.fault_level = 0.02;
+  cfg.link.bandwidth_words_per_sec = 2e5;
+  cfg.link.queue_words = 48;
+  return cfg;
+}
+
+/// The budget that kills the costlier half of `cfg`'s nodes mid-run: the
+/// median node energy of an unlimited run.
+double median_node_energy(const FleetConfig& cfg) {
+  const FleetResult r = run_with_jobs(cfg, 1);
+  std::vector<double> e;
+  for (const NodeResult& n : r.nodes) e.push_back(n.energy_j);
+  std::sort(e.begin(), e.end());
+  return e[e.size() / 2];
+}
+
+std::size_t exhausted_nodes(const FleetResult& r) {
+  return static_cast<std::size_t>(
+      std::count_if(r.nodes.begin(), r.nodes.end(),
+                    [](const NodeResult& n) { return n.budget_exhausted; }));
+}
+
 TEST(FleetConfig, ValidateCatchesInconsistencies) {
   EXPECT_NO_THROW(small_fleet().validate());
   {
     auto c = small_fleet();
     c.nodes = 0;
+    EXPECT_THROW(c.validate(), std::invalid_argument);
+  }
+  {
+    // Uplink words carry 32-bit node ids: a larger fleet would silently
+    // misattribute words.
+    auto c = small_fleet();
+    c.nodes = std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1;
+    try {
+      c.validate();
+      FAIL() << "expected a node-count error";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("32-bit node ids"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    auto c = small_fleet();
+    c.events_per_node =
+        std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1;
     EXPECT_THROW(c.validate(), std::invalid_argument);
   }
   {
@@ -133,29 +234,75 @@ TEST(Fleet, N1NodeIsBitIdenticalToPlainRunScenario) {
 }
 
 TEST(Fleet, ResultIsIdenticalForAnyJobsValue) {
-  FleetConfig cfg = small_fleet();
-  cfg.nodes = 24;
-  cfg.rate_spread = 0.3;
-  cfg.fault_level = 0.02;
-  cfg.gateways = 2;
-  FleetOptions serial;
-  serial.jobs = 1;
-  FleetOptions parallel;
-  parallel.jobs = 4;
-  const FleetResult a = run_fleet(cfg, serial);
-  const FleetResult b = run_fleet(cfg, parallel);
-  ASSERT_EQ(a.nodes.size(), b.nodes.size());
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    EXPECT_EQ(a.nodes[i].energy_j, b.nodes[i].energy_j) << "node " << i;
-    EXPECT_EQ(a.nodes[i].rate_hz, b.nodes[i].rate_hz) << "node " << i;
-    EXPECT_EQ(a.nodes[i].decoded, b.nodes[i].decoded) << "node " << i;
-    EXPECT_EQ(a.nodes[i].delivered, b.nodes[i].delivered) << "node " << i;
+  // Every field, for every thread count: the link merge splits each
+  // gateway's words into time partitions whose number follows --jobs.
+  const double budget = median_node_energy(contended_fleet());
+  for (const Arbitration arb :
+       {Arbitration::kFifo, Arbitration::kRoundRobin}) {
+    for (const std::size_t gateways : {1u, 3u}) {
+      for (const double budget_j : {0.0, budget}) {
+        FleetConfig cfg = contended_fleet();
+        cfg.link.arbitration = arb;
+        cfg.gateways = gateways;
+        cfg.node_energy_budget_j = budget_j;
+        const FleetResult r = run_with_jobs(cfg, 1);
+        EXPECT_GT(r.dropped_link_total, 0u);  // arbitration decides
+        if (budget_j > 0.0) {  // the budget kills some nodes, not all
+          EXPECT_GT(exhausted_nodes(r), 0u);
+          EXPECT_LT(exhausted_nodes(r), cfg.nodes);
+        }
+        const std::string serial = describe(r);
+        for (const std::size_t jobs : {2u, 3u, 4u}) {
+          EXPECT_EQ(serial, describe(run_with_jobs(cfg, jobs)))
+              << to_string(arb) << ", " << gateways << " gateway(s), budget "
+              << budget_j << " J, jobs " << jobs;
+        }
+      }
+    }
   }
-  EXPECT_EQ(a.total_energy_j, b.total_energy_j);  // summed in node order
-  EXPECT_EQ(a.delivered_total, b.delivered_total);
-  EXPECT_EQ(a.latency_p50_sec, b.latency_p50_sec);
-  EXPECT_EQ(a.latency_p99_sec, b.latency_p99_sec);
-  EXPECT_EQ(a.latency_p999_sec, b.latency_p999_sec);
+}
+
+TEST(Fleet, DegeneratePartitionsMatchTheSerialRun) {
+  // More gateways than nodes: gateways 3..4 get no runs at all.
+  FleetConfig sparse = contended_fleet();
+  sparse.nodes = 3;
+  sparse.gateways = 5;
+  // A budget so small that every word is dead: no gateway has anything to
+  // merge.
+  FleetConfig starved = contended_fleet();
+  starved.node_energy_budget_j = 1e-15;
+  // One node: a single run, so every partition holds one slice or none.
+  FleetConfig single = contended_fleet();
+  single.nodes = 1;
+  for (const FleetConfig& cfg : {sparse, starved, single}) {
+    const FleetResult serial = run_with_jobs(cfg, 1);
+    EXPECT_EQ(describe(serial), describe(run_with_jobs(cfg, 4)))
+        << cfg.nodes << " node(s), " << cfg.gateways << " gateway(s)";
+  }
+  const FleetResult r = run_with_jobs(starved, 4);
+  EXPECT_EQ(r.delivered_total, 0u);
+  EXPECT_EQ(r.dropped_dead_total, r.decoded_total);
+  EXPECT_EQ(r.latency_p50_sec, 0.0);
+  const FleetResult s = run_with_jobs(sparse, 4);
+  EXPECT_EQ(s.gateways[4].offered, 0u);
+  EXPECT_GT(s.gateways[0].offered, 0u);
+}
+
+TEST(Fleet, LinkOrderMatchesPinnedGlobalSortDigests) {
+  // These digests were computed from a build whose link replay sorted all
+  // of a gateway's words at once with std::sort(offer_order). They pin the
+  // merged replay to that order, not merely to itself.
+  FleetConfig fifo = contended_fleet();
+  fifo.gateways = 2;
+  FleetConfig rr = contended_fleet();
+  rr.link.arbitration = Arbitration::kRoundRobin;
+  rr.gateways = 3;
+  rr.node_energy_budget_j = 1.4e-5;  // about half the nodes die mid-run
+  const FleetResult r = run_with_jobs(rr, 4);
+  ASSERT_GT(exhausted_nodes(r), 0u);
+  ASSERT_LT(exhausted_nodes(r), rr.nodes);
+  EXPECT_EQ(digest(run_with_jobs(fifo, 4)), 0xa03c64a9b3d80aa2ull);
+  EXPECT_EQ(digest(r), 0xfa92594e6942cfd2ull);
 }
 
 TEST(Fleet, HeterogeneousRatesSpreadAroundTheMean) {

@@ -33,8 +33,10 @@ Two modes, selected by the first argument:
   tools/bench_report.py fleet [path/to/aetr-sweep] [fleet_throughput] [label]
       Fleet simulation (fleet/fleet.hpp): node-phase throughput in
       events/sec/core and energy-per-delivered-event across fleet sizes
-      from the fleet_throughput bench, plus the `aetr-sweep fleet --quick`
-      --jobs 1 vs N byte-identity gate (CSV + summary JSON)
+      from the fleet_throughput bench, its saturated 1024-node run_fleet
+      wall time (and link-phase share) at --jobs 1 and N, plus the
+      `aetr-sweep fleet --quick` --jobs 1 vs N byte-identity gate
+      (CSV + summary JSON)
       -> BENCH_fleet.json. Also exposed as the `fleet_report` target.
 
   tools/bench_report.py opt [path/to/aetr-sweep] [label]
@@ -521,7 +523,9 @@ def fleet_mode(cli, bench, label):
         print(f"error: {bench} exited {proc.returncode}:\n{proc.stderr}",
               file=sys.stderr)
         return 1
-    series = json.loads(proc.stdout)
+    bench_doc = json.loads(proc.stdout)
+    series = bench_doc["series"]
+    saturated = bench_doc["saturated"]
 
     # Determinism gate: the quick fleet figure must be byte-identical for
     # any --jobs value, summary JSON included.
@@ -550,6 +554,7 @@ def fleet_mode(cli, bench, label):
                                    "delivered_fraction")}
             for e in old.get("series", [])
         ],
+        "saturated": old.get("saturated"),
         "outputs_identical": old.get("outputs_identical"),
         "cpu_count": old.get("cpu_count"),
     })
@@ -558,6 +563,7 @@ def fleet_mode(cli, bench, label):
         "date": time.strftime("%Y-%m-%d %H:%M:%S"),
         "cpu_count": cpus,
         "series": series,
+        "saturated": saturated,
         "peak_events_per_sec_per_core": round(peak_evps_core),
         "outputs_identical": identical,
         "history": history,
@@ -568,6 +574,12 @@ def fleet_mode(cli, bench, label):
               f"  delivered {e['delivered_fraction']:.4f}"
               f"  {e['energy_per_delivered_uj']:.3f} uJ/evt"
               f"  p99 {e['latency_p99_ms']:.3f} ms")
+    print(f"saturated N {saturated['nodes']}: run_fleet"
+          f" {saturated['wall_sec_jobs1']:.3f} s at --jobs 1,"
+          f" {saturated['wall_sec_jobsN']:.3f} s at --jobs"
+          f" {saturated['jobs_n']} ({saturated['jobs_speedup']:.2f}x);"
+          f" link phase {saturated['link_sec_jobs1']:.3f} s /"
+          f" {saturated['link_sec_jobsN']:.3f} s")
     print(f"peak {peak_evps_core:.0f} evt/s/core on {cpus} CPU(s);"
           f" fleet --quick outputs byte-identical across --jobs:"
           f" {identical}")
