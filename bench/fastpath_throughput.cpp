@@ -1,7 +1,7 @@
 // Single-thread event throughput of run_scenario() with the idle-skip fast
-// path on vs off (ISSUE 6 acceptance number). Emits a JSON array on stdout,
-// one entry per event rate, consumed by `tools/bench_report.py fastpath`
-// (the `fastpath_report` CMake target) into BENCH_fastpath.json.
+// path on vs off, one metric pair per event rate, printed as a benchmark
+// record fragment (record.hpp) for `tools/bench_report.py fastpath`.
+// Gate: at every rate the fast path's result equals the reference DES's.
 //
 // Rates span the interface's operating regions: sparse input where the
 // reference path burns almost all its time ticking the shut-down clock tree
@@ -11,10 +11,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "core/fast_path.hpp"
 #include "core/scenario.hpp"
 #include "gen/sources.hpp"
+#include "record.hpp"
 
 namespace {
 
@@ -38,8 +40,8 @@ int main() {
   constexpr std::size_t kEvents = 20000;
   constexpr int kReps = 3;
 
-  std::printf("[\n");
-  bool first = true;
+  aetr::bench::Record record;
+  bool identical_everywhere = true;
   for (const double rate : kRates) {
     aetr::core::ScenarioConfig sc;
     sc.interface.front_end.keep_records = false;  // long runs; logs unneeded
@@ -67,25 +69,14 @@ int main() {
         on.events_in == off.events_in && on.words_out == off.words_out &&
         on.sim_end == off.sim_end && on.batches == off.batches &&
         on.average_power_w == off.average_power_w;
-    std::printf(
-        "%s {\"rate_hz\": %g, \"events\": %zu,"
-        " \"wall_sec_on\": %.6f, \"wall_sec_off\": %.6f,"
-        " \"events_per_sec_on\": %.0f, \"events_per_sec_off\": %.0f,"
-        " \"speedup\": %.3f, \"identical\": %s}",
-        first ? "" : ",\n", rate, static_cast<std::size_t>(on.events_in),
-        best_on, best_off,
-        best_on > 0.0 ? static_cast<double>(kEvents) / best_on : 0.0,
-        best_off > 0.0 ? static_cast<double>(kEvents) / best_off : 0.0,
-        best_on > 0.0 ? best_off / best_on : 0.0,
-        identical ? "true" : "false");
-    first = false;
-    if (!identical) {
-      std::printf("\n]\n");
-      std::fprintf(stderr, "fastpath_throughput: fast path diverged from "
-                           "the reference at rate %g\n", rate);
-      return 1;
-    }
+    identical_everywhere = identical_everywhere && identical;
+    char suffix[32];
+    std::snprintf(suffix, sizeof suffix, "_%.0fhz", rate);
+    const double n = static_cast<double>(kEvents);
+    record.metric(std::string{"events_per_sec_on"} + suffix, n / best_on);
+    record.metric(std::string{"events_per_sec_off"} + suffix, n / best_off);
+    record.metric(std::string{"speedup"} + suffix, best_off / best_on);
   }
-  std::printf("\n]\n");
-  return 0;
+  record.gate("fast_matches_reference", identical_everywhere);
+  return record.print();
 }

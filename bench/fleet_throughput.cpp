@@ -1,26 +1,26 @@
-// Fleet simulation throughput and energy proportionality. Runs run_fleet()
-// across fleet sizes at a fixed per-node activity and emits one JSON object
-// on stdout, consumed by `tools/bench_report.py fleet` (the `fleet_report`
-// CMake target) into BENCH_fleet.json:
+// Fleet simulation throughput and energy proportionality, printed as a
+// benchmark record fragment (record.hpp) for `tools/bench_report.py fleet`:
 //
-//   "series": one entry per N. Two numbers matter per N: node-phase
+//   per fleet size N (suffix _nN): run_fleet()'s wall time, node-phase
 //     throughput in events/sec/core (how fast the sharded node runs burn
 //     through simulated events), and energy per delivered event (the
 //     fleet-level figure of merit: it should fall as N grows while the
 //     uplink is uncontended, then climb once contention drops deliveries).
-//   "saturated": 1024 nodes x 2000 events on a saturated uplink, timed at
+//   saturated_*: 1024 nodes x 2000 events on a saturated uplink, timed at
 //     --jobs 1 and --jobs N (all cores). End to end it is run_fleet()'s wall
 //     time; at the link layer it is that wall time minus the node phase
 //     (the same node jobs run through runtime::run_sweep alone).
+//
+// Gate: every fleet size delivers events.
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "fleet/fleet.hpp"
+#include "record.hpp"
 #include "runtime/sweep.hpp"
 #include "util/time.hpp"
 
@@ -101,8 +101,8 @@ int main() {
   const unsigned hw = std::thread::hardware_concurrency();
   const std::size_t cores = hw != 0u ? hw : 1u;
 
-  std::printf("{\"series\": [\n");
-  bool first = true;
+  aetr::bench::Record record;
+  bool delivers = true;
   for (const std::size_t n : kFleetSizes) {
     const auto cfg = fleet_config(n, kEventsPerNode);
 
@@ -111,43 +111,32 @@ int main() {
       result = aetr::fleet::run_fleet(cfg);
     });
 
-    const double total_events = static_cast<double>(result.events_in_total);
-    const double events_per_sec = best > 0.0 ? total_events / best : 0.0;
-    std::printf(
-        "%s {\"nodes\": %zu, \"events_total\": %.0f,"
-        " \"wall_sec\": %.6f, \"events_per_sec\": %.0f,"
-        " \"events_per_sec_per_core\": %.0f,"
-        " \"delivered_fraction\": %.6f,"
-        " \"energy_per_delivered_uj\": %.4f,"
-        " \"latency_p99_ms\": %.4f}",
-        first ? "" : ",\n", n, total_events, best, events_per_sec,
-        events_per_sec / static_cast<double>(cores),
-        result.delivered_fraction(),
-        result.energy_per_delivered_j() * 1e6,
-        result.latency_p99_sec * 1e3);
-    first = false;
-    if (result.delivered_total == 0u) {
-      std::fprintf(stderr,
-                   "fleet_throughput: fleet of %zu delivered nothing\n", n);
-      return 1;
-    }
+    const double events_per_sec =
+        static_cast<double>(result.events_in_total) / best;
+    const std::string at = "_n" + std::to_string(n);
+    record.metric("wall_ms" + at, best * 1e3);
+    record.metric("events_per_sec_per_core" + at,
+                  events_per_sec / static_cast<double>(cores));
+    record.metric("delivered_fraction" + at, result.delivered_fraction());
+    record.metric("energy_per_delivered_uj" + at,
+                  result.energy_per_delivered_j() * 1e6);
+    record.metric("latency_p99_ms" + at, result.latency_p99_sec * 1e3);
+    delivers = delivers && result.delivered_total != 0u;
   }
+  record.gate("every_fleet_delivers", delivers);
 
   // The size of the `fleet-saturated` perfbench workload.
   const auto sat = fleet_config(1024, 2000);
   const SaturatedTiming one = time_saturated(sat, 1, kReps);
   const SaturatedTiming all = time_saturated(sat, cores, kReps);
-  const double sat_events =
-      static_cast<double>(sat.nodes * sat.events_per_node);
-  std::printf(
-      "\n], \"saturated\": {\"nodes\": %zu, \"events_total\": %.0f,"
-      " \"jobs_n\": %zu,"
-      " \"wall_sec_jobs1\": %.6f, \"wall_sec_jobsN\": %.6f,"
-      " \"node_sec_jobs1\": %.6f, \"node_sec_jobsN\": %.6f,"
-      " \"link_sec_jobs1\": %.6f, \"link_sec_jobsN\": %.6f,"
-      " \"events_per_sec_jobsN\": %.0f, \"jobs_speedup\": %.3f}}\n",
-      sat.nodes, sat_events, cores, one.wall_sec, all.wall_sec, one.node_sec,
-      all.node_sec, one.link_sec(), all.link_sec(), sat_events / all.wall_sec,
-      one.wall_sec / all.wall_sec);
-  return 0;
+  record.metric("saturated_jobs_n", static_cast<double>(cores));
+  record.metric("saturated_wall_sec_jobs1", one.wall_sec);
+  record.metric("saturated_wall_sec_jobsN", all.wall_sec);
+  record.metric("saturated_link_sec_jobs1", one.link_sec());
+  record.metric("saturated_link_sec_jobsN", all.link_sec());
+  record.metric("saturated_events_per_sec_jobsN",
+                static_cast<double>(sat.nodes * sat.events_per_node) /
+                    all.wall_sec);
+  record.metric("saturated_jobs_speedup", one.wall_sec / all.wall_sec);
+  return record.print();
 }

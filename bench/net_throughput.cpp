@@ -1,7 +1,5 @@
-// aetr::net transport benchmarks (ISSUE 10 acceptance numbers). Emits a
-// JSON array on stdout, one entry per measurement, consumed by
-// `tools/bench_report.py net` (the `net_report` CMake target) into
-// BENCH_net.json.
+// aetr::net transport benchmarks, printed as a benchmark record fragment
+// (record.hpp) for `tools/bench_report.py net`.
 //
 // Three honest single-host numbers:
 //   codec   — pure encode+decode+CRC events/sec, no sockets: the frame
@@ -9,11 +7,10 @@
 //   ingest  — one session over a loopback Unix socket, end to end (client
 //             chunking, credit round trips, server pump into the Session).
 //   scaling — total events/sec across 1/2/4 concurrent interleaved
-//             sessions on the single-threaded server. On one core this
-//             should stay roughly flat in total: the poll loop serialises
-//             sessions, so the win is multiplexing, not parallel speedup.
+//             sessions on the single-threaded server (suffix _sN). The
+//             poll loop serialises sessions, so the win is multiplexing,
+//             not parallel speedup.
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -24,6 +21,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
+#include "record.hpp"
 
 namespace {
 
@@ -116,20 +114,18 @@ int main() {
   const auto codec_stream = make_stream(kCodecEvents, 1);
   const auto socket_stream = make_stream(kSocketEvents, 2);
 
-  std::printf("[\n");
-  const double codec = codec_events_per_sec(codec_stream, kReps);
+  aetr::bench::Record record;
+  record.metric("codec_events_per_sec",
+                codec_events_per_sec(codec_stream, kReps));
   // Frame overhead: wire bytes per event over a full-size chunk, the codec
   // tax the SERVICE.md wire-format table promises (10 B payload/event plus
   // amortised 16 B header+CRC per 512-event frame).
-  const double bytes_per_event =
-      static_cast<double>(
-          net::encode_frame(net::MsgType::kData, 1,
-                            net::encode_data(codec_stream, 0, 512))
-              .size()) /
-      512.0;
-  std::printf("  {\"bench\": \"codec\", \"events\": %zu,"
-              " \"events_per_sec\": %.0f, \"wire_bytes_per_event\": %.3f}",
-              kCodecEvents, codec, bytes_per_event);
+  record.metric("wire_bytes_per_event",
+                static_cast<double>(
+                    net::encode_frame(net::MsgType::kData, 1,
+                                      net::encode_data(codec_stream, 0, 512))
+                        .size()) /
+                    512.0);
 
   for (const std::size_t sessions : {1u, 2u, 4u}) {
     double best = 0.0;
@@ -137,15 +133,13 @@ int main() {
       const double rate = socket_events_per_sec(sock, sessions, socket_stream);
       if (rate > best) best = rate;
     }
-    std::printf(",\n  {\"bench\": \"ingest\", \"sessions\": %zu,"
-                " \"events_per_session\": %zu, \"events_per_sec_total\": %.0f,"
-                " \"events_per_sec_per_session\": %.0f}",
-                sessions, kSocketEvents, best,
-                best / static_cast<double>(sessions));
+    const std::string at = "_s" + std::to_string(sessions);
+    record.metric("ingest_events_per_sec_total" + at, best);
+    record.metric("ingest_events_per_sec_per_session" + at,
+                  best / static_cast<double>(sessions));
   }
-  std::printf("\n]\n");
 
   std::error_code ec;
   std::filesystem::remove_all(sock_dir, ec);
-  return 0;
+  return record.print();
 }

@@ -1,18 +1,20 @@
 // Hot-path breakdown of run_scenario() under the scoped sampling profiler
 // (util/profiler.hpp): one full DES run with the MCU attached exercises all
 // four instrumented sites (mcu decode, latency harvest, schedule measure,
-// I2S word path). Emits a JSON object on stdout, consumed by
-// `tools/bench_report.py profile` (the `profile_report` CMake target) into
-// BENCH_profile.json.
+// I2S word path). Prints a benchmark record fragment (record.hpp) for
+// `tools/bench_report.py profile`: per-site calls, ns and share of the
+// summed site time, plus the profiler's overhead.
 //
-// Self-checking: a run with the profiler disabled must leave every counter
-// at zero (the zero-cost contract), and the enabled run must record calls
-// at every site — a silent zero means an instrumentation point got lost.
+// Gates: a run with the profiler disabled must leave every counter at zero
+// (the zero-cost contract), and the enabled run must record calls at every
+// site — a silent zero means an instrumentation point got lost.
 #include <chrono>
 #include <cstdio>
+#include <string>
 
 #include "core/scenario.hpp"
 #include "gen/sources.hpp"
+#include "record.hpp"
 #include "util/profiler.hpp"
 
 namespace {
@@ -49,44 +51,40 @@ int main() {
   aetr::util::profiler_set_enabled(false);
   aetr::util::profiler_reset();
   const double wall_off = run_once(sc, events);
+  bool zero_when_off = true;
   for (std::size_t i = 0; i < aetr::util::kProfSiteCount; ++i) {
     const auto st = aetr::util::profiler_stats(static_cast<ProfSite>(i));
-    if (st.calls != 0 || st.ns != 0) {
-      std::fprintf(stderr,
-                   "profile_hotpath: site %s recorded %llu calls with the "
-                   "profiler disabled\n",
-                   aetr::util::to_string(static_cast<ProfSite>(i)),
-                   static_cast<unsigned long long>(st.calls));
-      return 1;
-    }
+    zero_when_off = zero_when_off && st.calls == 0 && st.ns == 0;
   }
 
   aetr::util::profiler_set_enabled(true);
   const double wall_on = run_once(sc, events);
   aetr::util::profiler_set_enabled(false);
 
+  aetr::bench::Record record;
+  record.metric("wall_sec_off", wall_off);
+  record.metric("wall_sec_on", wall_on);
+  record.metric("profiling_overhead_pct",
+                (wall_on - wall_off) / wall_off * 100.0);
+  double total_ns = 0.0;
+  for (std::size_t i = 0; i < aetr::util::kProfSiteCount; ++i) {
+    total_ns += static_cast<double>(
+        aetr::util::profiler_stats(static_cast<ProfSite>(i)).ns);
+  }
   // Every site must have fired: the run decodes words (mcu_decode,
   // word_path), harvests delivery latencies (harvest) and drives the
   // sampling clock (schedule_measure).
+  bool every_site_fired = true;
   for (std::size_t i = 0; i < aetr::util::kProfSiteCount; ++i) {
-    const auto st = aetr::util::profiler_stats(static_cast<ProfSite>(i));
-    if (st.calls == 0) {
-      std::fprintf(stderr,
-                   "profile_hotpath: site %s recorded no calls — lost "
-                   "instrumentation point?\n",
-                   aetr::util::to_string(static_cast<ProfSite>(i)));
-      return 1;
-    }
+    const auto site = static_cast<ProfSite>(i);
+    const auto st = aetr::util::profiler_stats(site);
+    const std::string name = aetr::util::to_string(site);
+    record.metric(name + "_calls", static_cast<double>(st.calls));
+    record.metric(name + "_ns", static_cast<double>(st.ns));
+    record.metric(name + "_frac", static_cast<double>(st.ns) / total_ns);
+    every_site_fired = every_site_fired && st.calls != 0;
   }
-
-  const double overhead_pct =
-      wall_off > 0.0 ? (wall_on - wall_off) / wall_off * 100.0 : 0.0;
-  std::printf(
-      "{\"rate_hz\": %g, \"events\": %zu,"
-      " \"wall_sec_off\": %.6f, \"wall_sec_on\": %.6f,"
-      " \"profiling_overhead_pct\": %.2f,"
-      " \"profile\": %s}\n",
-      kRate, kEvents, wall_off, wall_on, overhead_pct,
-      aetr::util::profiler_report_json().c_str());
-  return 0;
+  record.gate("zero_cost_when_off", zero_when_off);
+  record.gate("every_site_fired", every_site_fired);
+  return record.print();
 }

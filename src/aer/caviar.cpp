@@ -16,7 +16,7 @@ CaviarChecker::CaviarChecker(AerChannel& channel, Time bound) : bound_{bound} {
       in_flight_ = false;
       ++checked_;
       durations_.add((t - req_rise_).to_sec());
-      if (t - req_rise_ > bound_) violations_.push_back({req_rise_, t});
+      if (t - req_rise_ > bound_) ++violations_;
     }
   });
 }
@@ -25,11 +25,7 @@ void CaviarChecker::save_state(BlobWriter& w) const {
   w.time(req_rise_);
   w.b(in_flight_);
   w.u64(checked_);
-  w.u64(violations_.size());
-  for (const auto& v : violations_) {
-    w.time(v.req_rise);
-    w.time(v.completed);
-  }
+  w.u64(violations_);
   const auto ds = durations_.state();
   w.u64(ds.n);
   w.f64(ds.mean);
@@ -42,13 +38,7 @@ void CaviarChecker::restore_state(BlobReader& r) {
   req_rise_ = r.time();
   in_flight_ = r.b();
   checked_ = r.u64();
-  violations_.clear();
-  const auto nv = r.u64();
-  violations_.reserve(nv);
-  for (std::uint64_t i = 0; i < nv; ++i) {
-    const Time rise = r.time();
-    violations_.push_back({rise, r.time()});
-  }
+  violations_ = r.u64();
   RunningStats::State ds{};
   ds.n = r.u64();
   ds.mean = r.f64();

@@ -6,20 +6,12 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "aer/channel.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
 
 namespace aetr::aer {
-
-/// One handshake that exceeded the completion bound.
-struct CaviarViolation {
-  Time req_rise{Time::zero()};
-  Time completed{Time::zero()};
-  [[nodiscard]] Time duration() const { return completed - req_rise; }
-};
 
 /// Passive monitor: attach to a channel, read back compliance statistics.
 class CaviarChecker {
@@ -30,10 +22,9 @@ class CaviarChecker {
   explicit CaviarChecker(AerChannel& channel, Time bound = kDefaultBound);
 
   [[nodiscard]] std::uint64_t checked() const { return checked_; }
-  [[nodiscard]] const std::vector<CaviarViolation>& violations() const {
-    return violations_;
-  }
-  [[nodiscard]] bool compliant() const { return violations_.empty(); }
+  /// Handshakes that exceeded the bound.
+  [[nodiscard]] std::uint64_t violations() const { return violations_; }
+  [[nodiscard]] bool compliant() const { return violations_ == 0; }
 
   /// Handshake duration statistics (seconds).
   [[nodiscard]] const RunningStats& durations() const { return durations_; }
@@ -47,7 +38,7 @@ class CaviarChecker {
   Time req_rise_{Time::zero()};
   bool in_flight_{false};
   std::uint64_t checked_{0};
-  std::vector<CaviarViolation> violations_;
+  std::uint64_t violations_{0};
   RunningStats durations_;
 };
 

@@ -12,6 +12,7 @@
 #include "mcu/consumer.hpp"
 #include "sim/scheduler.hpp"
 #include "util/blob.hpp"
+#include "util/crc32.hpp"
 #include "util/profiler.hpp"
 
 namespace aetr::core {
@@ -482,6 +483,7 @@ struct Session::Impl {
     w.u64(harvested);
 
     if (tel != nullptr) tel->save_state(w);
+    w.u32(crc32(w.bytes()));
     return w.bytes();
   }
 
@@ -492,7 +494,13 @@ struct Session::Impl {
           "Session::restore: requires a freshly constructed session");
     }
 
-    BlobReader r{blob};
+    // The payload is everything before the u32 CRC-32 trailer.
+    constexpr std::size_t kTrailer = 4;
+    if (blob.size() < sizeof kSnapshotMagic + 4 + kTrailer) {
+      throw std::runtime_error("Session::restore: snapshot truncated");
+    }
+    const std::size_t payload = blob.size() - kTrailer;
+    BlobReader r{blob.data(), payload};
     char magic[8];
     r.raw(magic, sizeof magic);
     if (std::memcmp(magic, kSnapshotMagic, sizeof magic) != 0) {
@@ -503,6 +511,13 @@ struct Session::Impl {
       throw std::runtime_error("Session::restore: snapshot version " +
                                std::to_string(version) + " != supported " +
                                std::to_string(kSnapshotVersion));
+    }
+    // Checked before any state is touched: a corrupt blob changes nothing.
+    if (BlobReader{blob.data() + payload, kTrailer}.u32() !=
+        crc32(blob.data(), payload)) {
+      throw std::runtime_error(
+          "Session::restore: snapshot CRC-32 mismatch (corrupt or torn "
+          "file)");
     }
     const std::string fingerprint = r.str();
     if (fingerprint != dump_scenario(scenario)) {
@@ -650,7 +665,7 @@ struct Session::Impl {
     // channel and its observers never see edges there).
     r.handshakes = fast ? fast->handshakes : iface->aer_in().handshakes();
     r.caviar_violations =
-        fast ? fast->caviar_violations : caviar->violations().size();
+        fast ? fast->caviar_violations : caviar->violations();
     r.protocol_violations = iface->aer_in().violations().size();
     if (faults != nullptr) r.faults = faults->counters();
     r.sim_end = sched.now();

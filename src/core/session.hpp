@@ -41,8 +41,9 @@ namespace aetr::core {
 class Session {
  public:
   /// Snapshot blob format version (bumped on any layout change; restore
-  /// rejects blobs whose version or config fingerprint does not match).
-  static constexpr std::uint32_t kSnapshotVersion = 1;
+  /// rejects blobs whose version, CRC-32 trailer or config fingerprint
+  /// does not match). 2: CRC-32 trailer, CAVIAR violation count.
+  static constexpr std::uint32_t kSnapshotVersion = 2;
 
   /// Build the full system (scheduler, interface, sender, checker, MCU,
   /// telemetry, fault injector) exactly as run_scenario always has.

@@ -400,7 +400,6 @@ FleetResult run_fleet(const FleetConfig& config, const FleetOptions& options) {
   std::iota(ids.begin(), ids.end(), 0.0);
   grid.axis("node", ids);
   runtime::SweepOptions so;
-  so.jobs = options.jobs;
   so.seed = config.seed;
   so.progress = options.progress;
   const auto job = [&config](const runtime::JobContext& ctx) {
@@ -411,7 +410,9 @@ FleetResult run_fleet(const FleetConfig& config, const FleetOptions& options) {
     pack_node(r, config.health, out);
     return out;
   };
-  const auto report = runtime::run_sweep(grid, job, so, nullptr);
+  // One pool serves both parallel phases (node runs, link merge).
+  runtime::ThreadPool pool{options.jobs};
+  const auto report = runtime::run_sweep(grid, job, pool, so);
 
   // Phase 2: the shared-link replay. Nodes are booked serially in node-id
   // order; each gateway's runs are merged in parallel by time partition,
@@ -468,7 +469,6 @@ FleetResult run_fleet(const FleetConfig& config, const FleetOptions& options) {
     if (config.health) res.health.node_ledgers.push_back(led);
   }
 
-  runtime::ThreadPool pool{options.jobs};
   std::vector<double> latencies;
   const double service_sec = 1.0 / config.link.bandwidth_words_per_sec;
   for (std::size_t g = 0; g < config.gateways; ++g) {

@@ -21,18 +21,9 @@
 
 namespace aetr::i2s {
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over 32-bit words
-/// fed little-endian byte order.
+/// CRC-32 (util/crc32.hpp) over 32-bit words fed in little-endian byte
+/// order.
 [[nodiscard]] std::uint32_t crc32_words(const std::vector<std::uint32_t>& words);
-
-/// Incremental form: seed with crc32_init(), fold words in one at a time,
-/// finalise with crc32_final(). Streaming consumers (the MCU's CRC batch
-/// gate) use this to avoid re-hashing the accumulated payload per word.
-[[nodiscard]] constexpr std::uint32_t crc32_init() { return 0xFFFFFFFFu; }
-[[nodiscard]] std::uint32_t crc32_update(std::uint32_t state, std::uint32_t word);
-[[nodiscard]] constexpr std::uint32_t crc32_final(std::uint32_t state) {
-  return state ^ 0xFFFFFFFFu;
-}
 
 /// Frame assembly.
 class FrameEncoder {

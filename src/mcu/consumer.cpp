@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "i2s/framing.hpp"
 #include "util/blob.hpp"
+#include "util/crc32.hpp"
 #include "util/profiler.hpp"
 
 namespace aetr::mcu {
@@ -111,7 +111,7 @@ McuConsumer::McuConsumer(Time tick_unit, Time saturation_span, Time batch_gap)
 void McuConsumer::attach_faults(fault::FaultInjector* faults) {
   faults_ = faults;
   crc_gate_ = faults != nullptr && fault::crc_framing_active(faults->plan());
-  running_crc_ = i2s::crc32_init();
+  running_crc_ = crc32_init();
 }
 
 void McuConsumer::on_word(aer::AetrWord word, Time arrival) {
@@ -131,17 +131,17 @@ void McuConsumer::on_word(aer::AetrWord word, Time arrival) {
   last_arrival_ = arrival;
   ++words_;
   if (crc_gate_) {
-    if (!pending_.empty() && word.raw() == i2s::crc32_final(running_crc_)) {
+    if (!pending_.empty() && word.raw() == crc32_final(running_crc_)) {
       // The trailer matches the payload hash: accept the whole batch.
       for (const std::uint32_t raw : pending_) {
         decode_one(aer::AetrWord{raw}, arrival);
       }
       pending_.clear();
-      running_crc_ = i2s::crc32_init();
+      running_crc_ = crc32_init();
       return;
     }
     pending_.push_back(word.raw());
-    running_crc_ = i2s::crc32_update(running_crc_, word.raw());
+    running_crc_ = crc32_update(running_crc_, word.raw());
     return;
   }
   decode_one(word, arrival);
@@ -163,7 +163,7 @@ void McuConsumer::reject_pending(Time now) {
                  {{"words", static_cast<double>(pending_.size())}});
   }
   pending_.clear();
-  running_crc_ = i2s::crc32_init();
+  running_crc_ = crc32_init();
 }
 
 void McuConsumer::finish(Time now) {

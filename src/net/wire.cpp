@@ -1,29 +1,12 @@
 #include "net/wire.hpp"
 
-#include <array>
 #include <stdexcept>
 
 #include "util/blob.hpp"
+#include "util/crc32.hpp"
 
 namespace aetr::net {
 namespace {
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0u ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  return table;
-}
 
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v & 0xffu));
@@ -80,19 +63,6 @@ bool is_known_type(std::uint8_t raw) {
          raw <= static_cast<std::uint8_t>(MsgType::kBye);
 }
 
-std::uint32_t crc32_bytes(const std::uint8_t* data, std::size_t size) {
-  const auto& table = crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-std::uint32_t crc32_bytes(const std::vector<std::uint8_t>& b) {
-  return crc32_bytes(b.data(), b.size());
-}
-
 std::vector<std::uint8_t> encode_frame(
     MsgType type, std::uint16_t session_id,
     const std::vector<std::uint8_t>& payload) {
@@ -108,7 +78,7 @@ std::vector<std::uint8_t> encode_frame(
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   // CRC over everything after the magic: type..payload.
-  const std::uint32_t crc = crc32_bytes(out.data() + 4, out.size() - 4);
+  const std::uint32_t crc = crc32(out.data() + 4, out.size() - 4);
   put_u32(out, crc);
   return out;
 }
@@ -165,7 +135,7 @@ std::optional<Frame> Decoder::next() {
   const std::size_t total = kHeaderSize + len + 4;
   if (avail < total) return std::nullopt;
   const std::uint32_t want = get_u32(head + kHeaderSize + len);
-  const std::uint32_t got = crc32_bytes(head + 4, kHeaderSize - 4 + len);
+  const std::uint32_t got = crc32(head + 4, kHeaderSize - 4 + len);
   if (want != got) {
     fail("frame CRC mismatch");
     return std::nullopt;

@@ -13,7 +13,7 @@
 //   u16  session_id   0 until HELLO_ACK assigns one
 //   u32  payload_len  <= kMaxPayload
 //   ...  payload      payload_len bytes (BlobWriter format per message)
-//   u32  crc32        IEEE CRC-32 over type..payload (magic excluded)
+//   u32  crc32        CRC-32 (util/crc32.hpp) over type..payload (magic excluded)
 //
 // The transport underneath (TCP / Unix domain socket) is a reliable byte
 // stream, so framing damage can only mean a buggy or hostile peer: the
@@ -82,16 +82,6 @@ struct Frame {
   std::uint16_t session_id{0};
   std::vector<std::uint8_t> payload;
 };
-
-// --- CRC-32 (byte-wise IEEE reflected, poly 0xEDB88320) ---------------------
-// The I2S carrier's crc32_words (i2s/framing.hpp) runs over u32 words; the
-// socket transport frames arbitrary byte payloads, so it needs the byte-wise
-// form. Same polynomial, same init/final inversion — crc32_bytes of a
-// whole-word buffer equals crc32_words of those words.
-
-[[nodiscard]] std::uint32_t crc32_bytes(const std::uint8_t* data,
-                                        std::size_t size);
-[[nodiscard]] std::uint32_t crc32_bytes(const std::vector<std::uint8_t>& b);
 
 // --- frame encode / streaming decode ----------------------------------------
 

@@ -40,6 +40,8 @@
 
 namespace aetr::runtime {
 
+class ThreadPool;
+
 /// Everything a job may depend on. Jobs draw randomness from `seed` only.
 struct JobContext {
   GridPoint point;
@@ -110,6 +112,13 @@ class SweepError : public std::runtime_error {
 /// and all streamed rows in index order.
 SweepReport run_sweep(const SweepGrid& grid, const JobFn& fn,
                       const SweepOptions& options = {},
+                      ResultSink* sink = nullptr);
+
+/// The same on a caller's pool (options.jobs is ignored), so a caller with
+/// more parallel work after the sweep starts its threads once.
+/// SweepReport::steals counts this sweep's steals only.
+SweepReport run_sweep(const SweepGrid& grid, const JobFn& fn,
+                      ThreadPool& pool, const SweepOptions& options = {},
                       ResultSink* sink = nullptr);
 
 }  // namespace aetr::runtime

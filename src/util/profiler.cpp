@@ -1,6 +1,5 @@
 #include "util/profiler.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -52,34 +51,6 @@ ProfStats profiler_stats(ProfSite site) {
   st.calls = slot.calls.load(std::memory_order_relaxed);
   st.ns = slot.ns.load(std::memory_order_relaxed);
   return st;
-}
-
-std::string profiler_report_json() {
-  std::uint64_t total_ns = 0;
-  ProfStats stats[kProfSiteCount];
-  for (std::size_t i = 0; i < kProfSiteCount; ++i) {
-    stats[i] = profiler_stats(static_cast<ProfSite>(i));
-    total_ns += stats[i].ns;
-  }
-  std::string out = "{\"sites\": [";
-  char buf[160];
-  for (std::size_t i = 0; i < kProfSiteCount; ++i) {
-    const double frac =
-        total_ns != 0u
-            ? static_cast<double>(stats[i].ns) / static_cast<double>(total_ns)
-            : 0.0;
-    std::snprintf(buf, sizeof buf,
-                  "%s{\"site\": \"%s\", \"calls\": %llu, \"ns\": %llu, "
-                  "\"frac\": %.6f}",
-                  i == 0 ? "" : ", ", to_string(static_cast<ProfSite>(i)),
-                  static_cast<unsigned long long>(stats[i].calls),
-                  static_cast<unsigned long long>(stats[i].ns), frac);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof buf, "], \"total_ns\": %llu}",
-                static_cast<unsigned long long>(total_ns));
-  out += buf;
-  return out;
 }
 
 }  // namespace aetr::util

@@ -3,7 +3,7 @@
 // PR 6's fast-path work left an ad-hoc wall-clock profile (mcu decode ~30%,
 // harvest ~20%, schedule measure ~15%, word-path dispatch ~20%); this
 // formalises those four sites so hot-path regressions become visible across
-// PRs (tools/bench_report.py profile -> BENCH_profile.json).
+// PRs (bench/profile_hotpath -> BENCH_profile.json).
 //
 // Cost model mirrors AETR_TELEMETRY's: every ProfScope is one relaxed
 // atomic load and a branch when profiling is off — no clock reads, no
@@ -20,7 +20,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 namespace aetr::util {
 
@@ -65,10 +64,6 @@ struct ProfStats {
 };
 [[nodiscard]] ProfStats profiler_stats(ProfSite site);
 
-/// One JSON object: {"sites": [{"site": ..., "calls": ..., "ns": ...,
-/// "frac": ...}, ...], "total_ns": ...}. Fractions are of the summed site
-/// time. For bench reporting — wall-clock values, not deterministic.
-[[nodiscard]] std::string profiler_report_json();
 
 /// RAII sample: times the enclosing scope into its site's slot. When the
 /// profiler is off, construction is a single relaxed load + branch and the

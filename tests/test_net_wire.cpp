@@ -18,6 +18,7 @@
 #include "i2s/framing.hpp"
 #include "net/connection.hpp"
 #include "net/wire.hpp"
+#include "util/crc32.hpp"
 
 namespace {
 
@@ -38,15 +39,15 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
 TEST(NetCrc, MatchesTheStandardCheckValue) {
   // The canonical IEEE CRC-32 check: crc32("123456789") == 0xCBF43926.
   const auto data = bytes_of("123456789");
-  EXPECT_EQ(crc32_bytes(data), 0xCBF43926u);
+  EXPECT_EQ(crc32(data), 0xCBF43926u);
 }
 
-TEST(NetCrc, EmptyInput) { EXPECT_EQ(crc32_bytes(nullptr, 0), 0u); }
+TEST(NetCrc, EmptyInput) { EXPECT_EQ(crc32(nullptr, 0), 0u); }
 
 TEST(NetCrc, AgreesWithTheWordCrcOnWholeWords) {
-  // Same polynomial and byte order as i2s::crc32_words: hashing a word
-  // buffer byte-wise (LE expansion) must give the word CRC, so the two
-  // transports' CRCs are one algorithm, not two.
+  // The wire codec's byte-wise CRC and the I2S carrier's i2s::crc32_words
+  // must agree: hashing a word buffer byte-wise (LE expansion) gives the
+  // word CRC.
   const std::vector<std::uint32_t> words{0x00000001u, 0xDEADBEEFu,
                                          0x12345678u};
   std::vector<std::uint8_t> raw;
@@ -55,7 +56,7 @@ TEST(NetCrc, AgreesWithTheWordCrcOnWholeWords) {
       raw.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
     }
   }
-  EXPECT_EQ(crc32_bytes(raw), i2s::crc32_words(words));
+  EXPECT_EQ(crc32(raw), i2s::crc32_words(words));
 }
 
 // --- frame round trips -------------------------------------------------------

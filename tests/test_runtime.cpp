@@ -450,6 +450,35 @@ TEST(RunSweep, SeedDerivationStableAcrossJobCounts) {
   }
 }
 
+// run_sweep on a caller's pool (how run_fleet shares one pool between its
+// node and link phases): the same outputs as the overload that owns its
+// pool, the pool serves the next sweep, and each report counts only its
+// own sweep's steals.
+TEST(RunSweep, CallerPoolServesConsecutiveSweeps) {
+  SweepGrid grid;
+  grid.axis("x", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+  const runtime::JobFn fn = [](const runtime::JobContext& ctx) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200 * (ctx.index % 3)));
+    runtime::JobOutput out;
+    out.values = {ctx.point.at("x"), static_cast<double>(ctx.seed % 1000)};
+    return out;
+  };
+  runtime::SweepOptions so;
+  so.jobs = 3;
+  so.seed = 5;
+  const auto owned = runtime::run_sweep(grid, fn, so);
+  runtime::ThreadPool pool{3};
+  const auto first = runtime::run_sweep(grid, fn, pool, so);
+  const auto second = runtime::run_sweep(grid, fn, pool, so);
+  EXPECT_EQ(first.threads, 3u);
+  EXPECT_EQ(first.steals + second.steals, pool.steal_count());
+  ASSERT_EQ(second.outputs.size(), owned.outputs.size());
+  for (std::size_t i = 0; i < owned.outputs.size(); ++i) {
+    EXPECT_EQ(first.outputs[i].values, owned.outputs[i].values) << i;
+    EXPECT_EQ(second.outputs[i].values, owned.outputs[i].values) << i;
+  }
+}
+
 TEST(RunSweep, ThrowingJobAbortsWithNamedGridPoint) {
   SweepGrid grid;
   grid.axis("x", {0, 1, 2, 3, 4, 5, 6, 7});

@@ -196,16 +196,14 @@ TEST(Session, SnapshotScheduleIsDeterministic) {
   expect_equal(r1, r2, "repeated schedule");
 }
 
-// With history off the per-event logs stop growing, so a snapshot grows
-// only by the CAVIAR checker's violation log (16 B per violating
-// handshake) as the stream grows — also in a session that got the setting
-// from restore() rather than from set_keep_history().
+// With history off no per-event log grows (the CAVIAR checker keeps a
+// count), so a snapshot stays flat as the stream grows — also in a session
+// that got the setting from restore() rather than from set_keep_history().
 TEST(Session, NoHistorySnapshotsStayFlat) {
   core::ScenarioConfig scenario;
   scenario.fast_forward = false;
   constexpr std::size_t kN = 2000;
   constexpr std::size_t kSlack = 256;
-  constexpr std::size_t kPerViolation = 16;
   const aer::EventStream events = make_stream(3 * kN, 17);
   const auto feed_and_snapshot = [&](core::Session& s, std::size_t from,
                                      std::size_t to) {
@@ -220,16 +218,14 @@ TEST(Session, NoHistorySnapshotsStayFlat) {
   const auto at_2n = feed_and_snapshot(s, kN, 2 * kN);
   const core::RunResult r = s.finish();
   EXPECT_TRUE(r.records.empty());
-  EXPECT_LE(at_2n.size(),
-            at_n.size() + kSlack + kPerViolation * r.caviar_violations);
+  EXPECT_LE(at_2n.size(), at_n.size() + kSlack);
 
   core::Session resumed{scenario};
   resumed.restore(at_2n);
   const auto at_3n = feed_and_snapshot(resumed, 2 * kN, 3 * kN);
   const core::RunResult rr = resumed.finish();
   EXPECT_TRUE(rr.records.empty());
-  EXPECT_LE(at_3n.size(),
-            at_2n.size() + kSlack + kPerViolation * rr.caviar_violations);
+  EXPECT_LE(at_3n.size(), at_2n.size() + kSlack);
 }
 
 // --- backpressure / API contract --------------------------------------------
