@@ -85,15 +85,15 @@ void AerSender::save_state(BlobWriter& w) const {
 
 void AerSender::restore_state(BlobReader& r) {
   queue_.clear();
-  const auto nq = r.u64();
-  for (std::uint64_t i = 0; i < nq; ++i) {
+  const auto nq = r.count(10);  // u16 + time
+  for (std::size_t i = 0; i < nq; ++i) {
     const auto addr = r.u16();
     queue_.push_back(Event{addr, r.time()});
   }
   sent_.clear();
-  const auto ns = r.u64();
+  const auto ns = r.count(10);
   sent_.reserve(ns);
-  for (std::uint64_t i = 0; i < ns; ++i) {
+  for (std::size_t i = 0; i < ns; ++i) {
     const auto addr = r.u16();
     sent_.push_back(Event{addr, r.time()});
   }

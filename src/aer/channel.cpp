@@ -113,9 +113,9 @@ void AerChannel::restore_state(BlobReader& r) {
   handshakes_ = r.u64();
   strict_ = r.b();
   violations_.clear();
-  const auto nv = r.u64();
+  const auto nv = r.count(16);  // time + length-prefixed text
   violations_.reserve(nv);
-  for (std::uint64_t i = 0; i < nv; ++i) {
+  for (std::size_t i = 0; i < nv; ++i) {
     const Time t = r.time();
     violations_.push_back({t, r.str()});
   }

@@ -135,8 +135,8 @@ void AetrFifo::save_state(BlobWriter& w) const {
 void AetrFifo::restore_state(BlobReader& r) {
   cfg_.batch_threshold = static_cast<std::size_t>(r.u64());
   data_.clear();
-  const auto n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  const auto n = r.count(4);
+  for (std::size_t i = 0; i < n; ++i) {
     data_.push_back(aer::AetrWord{r.u32()});
   }
   armed_ = r.b();

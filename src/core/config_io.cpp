@@ -4,527 +4,127 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/key_schema.hpp"
-
 namespace aetr::core {
 namespace {
 
-using keyio::parse_bool;
-using keyio::parse_double;
-using keyio::parse_uint;
-
-const char* fmt(bool b) { return b ? "true" : "false"; }
+using namespace domain;
+using namespace units;
 
 KeySchema<InterfaceConfig> make_interface_schema() {
   KeySchema<InterfaceConfig> s{"config"};
   s.comment("aetr interface configuration");
-  s.add(
-      "clock.ring_mhz",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.clock.ring_frequency =
-            Frequency::mhz(parse_double(v, "clock.ring_mhz"));
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << c.clock.ring_frequency.to_mhz();
-      });
-  s.add(
-      "clock.ref_divider_stages",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.clock.ref_divider_stages =
-            static_cast<unsigned>(parse_uint(v, "clock.ref_divider_stages"));
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << c.clock.ref_divider_stages;
-      });
-  s.add(
-      "clock.sampling_divider_stages",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.clock.sampling_divider_stages = static_cast<unsigned>(
-            parse_uint(v, "clock.sampling_divider_stages"));
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << c.clock.sampling_divider_stages;
-      });
-  s.add(
-      "clock.theta_div",
-      [](InterfaceConfig& c, const std::string& v) {
-        const auto t = parse_uint(v, "clock.theta_div");
-        if (t == 0 || t > 4096) {
-          throw std::runtime_error("config: clock.theta_div out of range");
-        }
-        c.clock.theta_div = static_cast<std::uint32_t>(t);
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << c.clock.theta_div;
-      });
-  s.add(
-      "clock.n_div",
-      [](InterfaceConfig& c, const std::string& v) {
-        const auto n = parse_uint(v, "clock.n_div");
-        if (n > 30) {
-          throw std::runtime_error("config: clock.n_div out of range");
-        }
-        c.clock.n_div = static_cast<std::uint32_t>(n);
-      },
-      [](std::ostream& os, const InterfaceConfig& c) { os << c.clock.n_div; });
-  s.add(
-      "clock.divide_enabled",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.clock.divide_enabled = parse_bool(v, "clock.divide_enabled");
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << fmt(c.clock.divide_enabled);
-      });
-  s.add(
-      "clock.shutdown_enabled",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.clock.shutdown_enabled = parse_bool(v, "clock.shutdown_enabled");
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << fmt(c.clock.shutdown_enabled);
-      });
-  s.add(
-      "clock.wake_latency_ns",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.clock.wake_latency = Time::ns(parse_double(v, "clock.wake_latency_ns"));
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << c.clock.wake_latency.to_ns();
-      });
-  s.add(
-      "frontend.sync_stages",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.front_end.sync_stages =
-            static_cast<std::uint32_t>(parse_uint(v, "frontend.sync_stages"));
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << c.front_end.sync_stages;
-      });
-  s.add(
-      "frontend.metastability_prob",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.front_end.metastability_prob =
-            parse_double(v, "frontend.metastability_prob");
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << c.front_end.metastability_prob;
-      });
-  s.add(
-      "frontend.keep_records",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.front_end.keep_records = parse_bool(v, "frontend.keep_records");
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << fmt(c.front_end.keep_records);
-      });
-  s.add(
-      "fifo.capacity_words",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.fifo.capacity_words =
-            static_cast<std::size_t>(parse_uint(v, "fifo.capacity_words"));
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << c.fifo.capacity_words;
-      });
-  s.add(
-      "fifo.batch_threshold",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.fifo.batch_threshold =
-            static_cast<std::size_t>(parse_uint(v, "fifo.batch_threshold"));
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << c.fifo.batch_threshold;
-      });
-  s.add(
-      "fifo.overflow_policy",
-      [](InterfaceConfig& c, const std::string& v) {
-        if (v == "drop_newest") {
-          c.fifo.overflow_policy = buffer::OverflowPolicy::kDropNewest;
-        } else if (v == "drop_oldest") {
-          c.fifo.overflow_policy = buffer::OverflowPolicy::kDropOldest;
-        } else {
-          throw std::runtime_error(
-              "config: fifo.overflow_policy must be drop_newest or "
-              "drop_oldest: " +
-              v);
-        }
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << (c.fifo.overflow_policy == buffer::OverflowPolicy::kDropOldest
-                   ? "drop_oldest"
-                   : "drop_newest");
-      });
-  s.add(
-      "i2s.sck_mhz",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.i2s.sck = Frequency::mhz(parse_double(v, "i2s.sck_mhz"));
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << c.i2s.sck.to_mhz();
-      });
-  s.add(
-      "i2s.word_bits",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.i2s.word_bits = static_cast<unsigned>(parse_uint(v, "i2s.word_bits"));
-      },
-      [](std::ostream& os, const InterfaceConfig& c) { os << c.i2s.word_bits; });
-  s.add(
-      "i2s.drain_until_empty",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.i2s.drain_until_empty = parse_bool(v, "i2s.drain_until_empty");
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << fmt(c.i2s.drain_until_empty);
-      });
-  s.add(
-      "drain_timeout_us",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.drain_timeout = Time::us(parse_double(v, "drain_timeout_us"));
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << c.drain_timeout.to_us();
-      });
-  s.add(
-      "power.static_uw",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.calibration.static_w = parse_double(v, "power.static_uw") * 1e-6;
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << c.calibration.static_w * 1e6;
-      });
-  s.add(
-      "power.osc_domain_mw",
-      [](InterfaceConfig& c, const std::string& v) {
-        c.calibration.osc_domain_w =
-            parse_double(v, "power.osc_domain_mw") * 1e-3;
-      },
-      [](std::ostream& os, const InterfaceConfig& c) {
-        os << c.calibration.osc_domain_w * 1e3;
-      });
+  s.number("clock.ring_mhz", AETR_FIELD(clock.ring_frequency), mhz);
+  s.integer("clock.ref_divider_stages", AETR_FIELD(clock.ref_divider_stages),
+            0, 31);
+  s.integer("clock.sampling_divider_stages",
+            AETR_FIELD(clock.sampling_divider_stages), 0, 31);
+  s.integer("clock.theta_div", AETR_FIELD(clock.theta_div), 1, 4096);
+  s.integer("clock.n_div", AETR_FIELD(clock.n_div), 0, 30);
+  s.flag("clock.divide_enabled", AETR_FIELD(clock.divide_enabled));
+  s.flag("clock.shutdown_enabled", AETR_FIELD(clock.shutdown_enabled));
+  s.number("clock.wake_latency_ns", AETR_FIELD(clock.wake_latency), ns);
+  s.integer("frontend.sync_stages", AETR_FIELD(front_end.sync_stages), 1, 64);
+  s.number("frontend.metastability_prob",
+           AETR_FIELD(front_end.metastability_prob), plain, kProbability);
+  s.flag("frontend.keep_records", AETR_FIELD(front_end.keep_records));
+  s.integer("fifo.capacity_words", AETR_FIELD(fifo.capacity_words), 1);
+  s.integer("fifo.batch_threshold", AETR_FIELD(fifo.batch_threshold), 1);
+  s.choice("fifo.overflow_policy", AETR_FIELD(fifo.overflow_policy),
+           {{"drop_newest", buffer::OverflowPolicy::kDropNewest},
+            {"drop_oldest", buffer::OverflowPolicy::kDropOldest}});
+  s.number("i2s.sck_mhz", AETR_FIELD(i2s.sck), mhz);
+  s.integer("i2s.word_bits", AETR_FIELD(i2s.word_bits), 1, 32);
+  s.flag("i2s.drain_until_empty", AETR_FIELD(i2s.drain_until_empty));
+  s.number("drain_timeout_us", AETR_FIELD(drain_timeout), us);
+  s.number("power.static_uw", AETR_FIELD(calibration.static_w), uw);
+  s.number("power.osc_domain_mw", AETR_FIELD(calibration.osc_domain_w), mw);
   return s;
 }
-
-/// A telemetry.* key switches the scenario's telemetry choice to owned
-/// options, mutating the current owned options when already owned (a
-/// borrowed in-process session cannot be named in a file).
-template <typename Set>
-KeySchema<ScenarioConfig>::Apply tel_apply(Set set) {
-  return [set](ScenarioConfig& s, const std::string& v) {
-    telemetry::SessionOptions opts =
-        s.telemetry.mode() == TelemetryChoice::Mode::kOwned
-            ? s.telemetry.options()
-            : telemetry::SessionOptions{};
-    set(opts, v);
-    s.telemetry = TelemetryChoice::owned(opts);
-  };
-}
-
-/// Dump view of the telemetry options: a borrowed session dumps as the
-/// defaults (telemetry off), which is what a fresh load reproduces.
-telemetry::SessionOptions tel_view(const ScenarioConfig& s) {
-  return s.telemetry.mode() == TelemetryChoice::Mode::kOwned
-             ? s.telemetry.options()
-             : telemetry::SessionOptions{};
-}
-
-KeySchema<ScenarioConfig> make_scenario_schema() {
-  KeySchema<ScenarioConfig> s{"config"};
-  s.comment("aetr scenario configuration");
-  // Every interface key applies to scenario.interface, so an
-  // InterfaceConfig file is a valid scenario file.
-  s.extend<InterfaceConfig>(
-      interface_schema(),
-      [](ScenarioConfig& c) -> InterfaceConfig& { return c.interface; },
-      [](const ScenarioConfig& c) -> const InterfaceConfig& {
-        return c.interface;
-      });
-  // Sensor-side wire timing.
-  s.add(
-      "sender.addr_setup_ns",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.sender.addr_setup = Time::ns(parse_double(v, "sender.addr_setup_ns"));
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.sender.addr_setup.to_ns();
-      });
-  s.add(
-      "sender.req_release_ns",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.sender.req_release =
-            Time::ns(parse_double(v, "sender.req_release_ns"));
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.sender.req_release.to_ns();
-      });
-  s.add(
-      "sender.min_gap_ns",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.sender.min_gap = Time::ns(parse_double(v, "sender.min_gap_ns"));
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.sender.min_gap.to_ns();
-      });
-  // Session lifecycle (formerly run.*; the deprecated alias spellings were
-  // removed after their one-release grace period — run.* keys now fail with
-  // a did-you-mean suggestion like any other unknown key).
-  s.add(
-      "session.cooldown_us",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.cooldown = Time::us(parse_double(v, "session.cooldown_us"));
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.cooldown.to_us();
-      });
-  s.add(
-      "session.strict_protocol",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.strict_protocol = parse_bool(v, "session.strict_protocol");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << fmt(c.strict_protocol);
-      });
-  s.add(
-      "session.final_flush",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.final_flush = parse_bool(v, "session.final_flush");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << fmt(c.final_flush);
-      });
-  s.add(
-      "session.attach_mcu",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.attach_mcu = parse_bool(v, "session.attach_mcu");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << fmt(c.attach_mcu);
-      });
-  s.add(
-      "session.fast_forward",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.fast_forward = parse_bool(v, "session.fast_forward");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << fmt(c.fast_forward);
-      });
-  s.add(
-      "session.energy_ledger",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.energy_ledger = parse_bool(v, "session.energy_ledger");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << fmt(c.energy_ledger);
-      });
-  s.add(
-      "session.max_buffered_events",
-      [](ScenarioConfig& c, const std::string& v) {
-        const auto n = parse_uint(v, "session.max_buffered_events");
-        if (n == 0) {
-          throw std::runtime_error(
-              "config: session.max_buffered_events must be > 0");
-        }
-        c.session.max_buffered_events = static_cast<std::size_t>(n);
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.session.max_buffered_events;
-      });
-  s.add(
-      "session.snapshot_interval_sec",
-      [](ScenarioConfig& c, const std::string& v) {
-        const double sec = parse_double(v, "session.snapshot_interval_sec");
-        if (sec < 0.0) {
-          throw std::runtime_error(
-              "config: session.snapshot_interval_sec must be >= 0");
-        }
-        c.session.snapshot_interval_sec = sec;
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.session.snapshot_interval_sec;
-      });
-  // Fault plan.
-  s.add(
-      "fault.seed",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.seed = parse_uint(v, "fault.seed");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) { os << c.faults.seed; });
-  s.add(
-      "fault.aer.drop_req_prob",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.aer.drop_req_prob = parse_double(v, "fault.aer.drop_req_prob");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.faults.aer.drop_req_prob;
-      });
-  s.add(
-      "fault.aer.stuck_ack_prob",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.aer.stuck_ack_prob =
-            parse_double(v, "fault.aer.stuck_ack_prob");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.faults.aer.stuck_ack_prob;
-      });
-  s.add(
-      "fault.aer.addr_bit_flip_prob",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.aer.addr_bit_flip_prob =
-            parse_double(v, "fault.aer.addr_bit_flip_prob");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.faults.aer.addr_bit_flip_prob;
-      });
-  s.add(
-      "fault.aer.runt_req_prob",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.aer.runt_req_prob =
-            parse_double(v, "fault.aer.runt_req_prob");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.faults.aer.runt_req_prob;
-      });
-  s.add(
-      "fault.aer.runt_width_ns",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.aer.runt_width =
-            Time::ns(parse_double(v, "fault.aer.runt_width_ns"));
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.faults.aer.runt_width.to_ns();
-      });
-  s.add(
-      "fault.clock.period_jitter_rel",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.clock.period_jitter_rel =
-            parse_double(v, "fault.clock.period_jitter_rel");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.faults.clock.period_jitter_rel;
-      });
-  s.add(
-      "fault.clock.wake_jitter_rel",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.clock.wake_jitter_rel =
-            parse_double(v, "fault.clock.wake_jitter_rel");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.faults.clock.wake_jitter_rel;
-      });
-  s.add(
-      "fault.fifo.cell_bit_flip_prob",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.fifo.cell_bit_flip_prob =
-            parse_double(v, "fault.fifo.cell_bit_flip_prob");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.faults.fifo.cell_bit_flip_prob;
-      });
-  s.add(
-      "fault.spi.word_bit_flip_prob",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.spi.word_bit_flip_prob =
-            parse_double(v, "fault.spi.word_bit_flip_prob");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.faults.spi.word_bit_flip_prob;
-      });
-  s.add(
-      "fault.i2s.bit_error_rate",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.i2s.bit_error_rate =
-            parse_double(v, "fault.i2s.bit_error_rate");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.faults.i2s.bit_error_rate;
-      });
-  s.add(
-      "fault.recovery.watchdog",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.recovery.watchdog = parse_bool(v, "fault.recovery.watchdog");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << fmt(c.faults.recovery.watchdog);
-      });
-  s.add(
-      "fault.recovery.watchdog_timeout_us",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.recovery.watchdog_timeout =
-            Time::us(parse_double(v, "fault.recovery.watchdog_timeout_us"));
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << c.faults.recovery.watchdog_timeout.to_us();
-      });
-  s.add(
-      "fault.recovery.fifo_parity",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.recovery.fifo_parity =
-            parse_bool(v, "fault.recovery.fifo_parity");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << fmt(c.faults.recovery.fifo_parity);
-      });
-  s.add(
-      "fault.recovery.crc_frames",
-      [](ScenarioConfig& c, const std::string& v) {
-        c.faults.recovery.crc_frames =
-            parse_bool(v, "fault.recovery.crc_frames");
-      },
-      [](std::ostream& os, const ScenarioConfig& c) {
-        os << fmt(c.faults.recovery.crc_frames);
-      });
-  // Telemetry.
-  s.add("telemetry.trace",
-        tel_apply([](telemetry::SessionOptions& o, const std::string& v) {
-          o.trace = parse_bool(v, "telemetry.trace");
-        }),
-        [](std::ostream& os, const ScenarioConfig& c) {
-          os << fmt(tel_view(c).trace);
-        });
-  s.add("telemetry.metrics",
-        tel_apply([](telemetry::SessionOptions& o, const std::string& v) {
-          o.metrics = parse_bool(v, "telemetry.metrics");
-        }),
-        [](std::ostream& os, const ScenarioConfig& c) {
-          os << fmt(tel_view(c).metrics);
-        });
-  s.add("telemetry.metrics_window_ms",
-        tel_apply([](telemetry::SessionOptions& o, const std::string& v) {
-          o.metrics_window =
-              Time::ms(parse_double(v, "telemetry.metrics_window_ms"));
-        }),
-        [](std::ostream& os, const ScenarioConfig& c) {
-          os << tel_view(c).metrics_window.to_ms();
-        });
-  s.add("telemetry.trace_json_path",
-        tel_apply([](telemetry::SessionOptions& o, const std::string& v) {
-          o.trace_json_path = v;
-        }),
-        [](std::ostream& os, const ScenarioConfig& c) {
-          os << tel_view(c).trace_json_path;
-        });
-  s.add("telemetry.trace_csv_path",
-        tel_apply([](telemetry::SessionOptions& o, const std::string& v) {
-          o.trace_csv_path = v;
-        }),
-        [](std::ostream& os, const ScenarioConfig& c) {
-          os << tel_view(c).trace_csv_path;
-        });
-  s.add("telemetry.metrics_csv_path",
-        tel_apply([](telemetry::SessionOptions& o, const std::string& v) {
-          o.metrics_csv_path = v;
-        }),
-        [](std::ostream& os, const ScenarioConfig& c) {
-          os << tel_view(c).metrics_csv_path;
-        });
-  return s;
-}
-
-}  // namespace
 
 const KeySchema<InterfaceConfig>& interface_schema() {
   static const KeySchema<InterfaceConfig> schema = make_interface_schema();
   return schema;
 }
+
+/// A telemetry.* field. Reading sees the scenario's options (the defaults
+/// unless owned, so a borrowed session dumps as telemetry off, which is
+/// what a fresh load reproduces); writing switches the choice to owned
+/// options, since a borrowed in-process session cannot be named in a file.
+template <auto Member>
+constexpr auto tel = [](auto& c) -> auto& {
+  if constexpr (std::is_const_v<std::remove_reference_t<decltype(c)>>) {
+    return c.telemetry.options().*Member;
+  } else {
+    return c.telemetry.own().*Member;
+  }
+};
+
+KeySchema<ScenarioConfig> make_scenario_schema() {
+  using telemetry::SessionOptions;
+  KeySchema<ScenarioConfig> s{"config"};
+  s.comment("aetr scenario configuration");
+  // Every interface key applies to scenario.interface, so an
+  // InterfaceConfig file is a valid scenario file.
+  s.extend(interface_schema(), AETR_FIELD(interface));
+  // Sensor-side wire timing.
+  s.number("sender.addr_setup_ns", AETR_FIELD(sender.addr_setup), ns);
+  s.number("sender.req_release_ns", AETR_FIELD(sender.req_release), ns);
+  s.number("sender.min_gap_ns", AETR_FIELD(sender.min_gap), ns);
+  // Session lifecycle (formerly run.*; the deprecated alias spellings were
+  // removed after their one-release grace period — run.* keys now fail with
+  // a did-you-mean suggestion like any other unknown key).
+  s.number("session.cooldown_us", AETR_FIELD(cooldown), us);
+  s.flag("session.strict_protocol", AETR_FIELD(strict_protocol));
+  s.flag("session.final_flush", AETR_FIELD(final_flush));
+  s.flag("session.attach_mcu", AETR_FIELD(attach_mcu));
+  s.flag("session.fast_forward", AETR_FIELD(fast_forward));
+  s.flag("session.energy_ledger", AETR_FIELD(energy_ledger));
+  s.integer("session.max_buffered_events",
+            AETR_FIELD(session.max_buffered_events), 1);
+  s.number("session.snapshot_interval_sec",
+           AETR_FIELD(session.snapshot_interval_sec), plain,
+           Domain{0.0, kDaySec});
+  // Fault plan.
+  s.integer("fault.seed", AETR_FIELD(faults.seed));
+  s.number("fault.aer.drop_req_prob", AETR_FIELD(faults.aer.drop_req_prob),
+           plain, kProbability);
+  s.number("fault.aer.stuck_ack_prob", AETR_FIELD(faults.aer.stuck_ack_prob),
+           plain, kProbability);
+  s.number("fault.aer.addr_bit_flip_prob",
+           AETR_FIELD(faults.aer.addr_bit_flip_prob), plain, kProbability);
+  s.number("fault.aer.runt_req_prob", AETR_FIELD(faults.aer.runt_req_prob),
+           plain, kProbability);
+  s.number("fault.aer.runt_width_ns", AETR_FIELD(faults.aer.runt_width), ns);
+  // Relative sigmas: a jitter as large as the period itself is the most a
+  // clock model can mean.
+  s.number("fault.clock.period_jitter_rel",
+           AETR_FIELD(faults.clock.period_jitter_rel), plain, kProbability);
+  s.number("fault.clock.wake_jitter_rel",
+           AETR_FIELD(faults.clock.wake_jitter_rel), plain, kProbability);
+  s.number("fault.fifo.cell_bit_flip_prob",
+           AETR_FIELD(faults.fifo.cell_bit_flip_prob), plain, kProbability);
+  s.number("fault.spi.word_bit_flip_prob",
+           AETR_FIELD(faults.spi.word_bit_flip_prob), plain, kProbability);
+  s.number("fault.i2s.bit_error_rate", AETR_FIELD(faults.i2s.bit_error_rate),
+           plain, kProbability);
+  s.flag("fault.recovery.watchdog", AETR_FIELD(faults.recovery.watchdog));
+  s.number("fault.recovery.watchdog_timeout_us",
+           AETR_FIELD(faults.recovery.watchdog_timeout), us);
+  s.flag("fault.recovery.fifo_parity", AETR_FIELD(faults.recovery.fifo_parity));
+  s.flag("fault.recovery.crc_frames", AETR_FIELD(faults.recovery.crc_frames));
+  // Telemetry.
+  s.flag("telemetry.trace", tel<&SessionOptions::trace>);
+  s.flag("telemetry.metrics", tel<&SessionOptions::metrics>);
+  s.number("telemetry.metrics_window_ms", tel<&SessionOptions::metrics_window>,
+           ms, Domain{0.0, kDaySec * 1e3, true});
+  s.text("telemetry.trace_json_path", tel<&SessionOptions::trace_json_path>);
+  s.text("telemetry.trace_csv_path", tel<&SessionOptions::trace_csv_path>);
+  s.text("telemetry.metrics_csv_path",
+         tel<&SessionOptions::metrics_csv_path>);
+  return s;
+}
+
+}  // namespace
 
 const KeySchema<ScenarioConfig>& scenario_schema() {
   static const KeySchema<ScenarioConfig> schema = make_scenario_schema();
@@ -534,12 +134,7 @@ const KeySchema<ScenarioConfig>& scenario_schema() {
 std::vector<std::string> scenario_keys() { return scenario_schema().keys(); }
 
 std::string suggest_scenario_key(const std::string& key) {
-  return scenario_schema().suggest(key);
-}
-
-std::string suggest_key(const std::string& key,
-                        const std::vector<std::string>& candidates) {
-  return keyio::nearest_key(key, candidates);
+  return keyio::nearest_key(key, scenario_schema().keys());
 }
 
 void apply_scenario_key(ScenarioConfig& scenario, const std::string& key,
@@ -549,11 +144,7 @@ void apply_scenario_key(ScenarioConfig& scenario, const std::string& key,
 
 InterfaceConfig load_config(std::istream& is) {
   InterfaceConfig config;
-  keyio::parse_stream(is, "config",
-                      [&](const std::string& key, const std::string& value,
-                          std::size_t line_no) {
-                        interface_schema().apply(config, key, value, line_no);
-                      });
+  interface_schema().read(is, config);
   return config;
 }
 
@@ -571,11 +162,7 @@ std::string dump_config(const InterfaceConfig& c) {
 
 ScenarioConfig load_scenario(std::istream& is) {
   ScenarioConfig scenario;
-  keyio::parse_stream(is, "config",
-                      [&](const std::string& key, const std::string& value,
-                          std::size_t line_no) {
-                        scenario_schema().apply(scenario, key, value, line_no);
-                      });
+  scenario_schema().read(is, scenario);
   scenario.validate();
   return scenario;
 }

@@ -21,22 +21,17 @@
 
 namespace aetr::core {
 
-/// The declarative schema behind load_config()/dump_config(): every
-/// interface key with its parser and dumper. Exposed so layered formats
-/// (scenario, fleet) and tools can share one table instead of
-/// re-implementing key fall-through.
-[[nodiscard]] const KeySchema<InterfaceConfig>& interface_schema();
-
-/// The declarative schema behind load_scenario()/dump_scenario(): the
-/// interface schema grafted onto scenario.interface, plus sender.*,
-/// session.*, fault.* and telemetry.*.
+/// The declarative schema behind load_scenario()/dump_scenario(): one typed
+/// declaration (field, unit, domain) per key — every interface key grafted
+/// onto scenario.interface, plus sender.*, session.*, fault.* and
+/// telemetry.*. ScenarioConfig::validate() walks its domains.
 /// opt::SearchSpace validates its axes against this table, and the fleet
 /// config extends it onto FleetConfig::base.
 [[nodiscard]] const KeySchema<ScenarioConfig>& scenario_schema();
 
 /// Parse a configuration stream on top of default values.
-/// Throws std::runtime_error on syntax errors, unknown keys, or values
-/// that fail validation.
+/// Throws std::runtime_error on syntax errors, unknown keys, or values the
+/// field cannot hold (including integers outside their declared range).
 InterfaceConfig load_config(std::istream& is);
 
 /// Load a configuration file; throws std::runtime_error on failure.
@@ -48,6 +43,9 @@ std::string dump_config(const InterfaceConfig& config);
 /// Parse a full scenario (interface keys plus sender.*, session.*, fault.*
 /// and telemetry.*) on top of default values. Every interface key is
 /// accepted unchanged, so an InterfaceConfig file is a valid scenario file.
+/// Throws std::runtime_error for text a field cannot hold and
+/// std::invalid_argument (from ScenarioConfig::validate()) for values the
+/// model cannot mean; both name the key.
 /// The pre-Session run.* alias spellings were removed after their
 /// one-release grace period; they now fail like any other unknown key.
 ScenarioConfig load_scenario(std::istream& is);
@@ -61,13 +59,10 @@ ScenarioConfig load_scenario_file(const std::string& path);
 std::string dump_scenario(const ScenarioConfig& scenario);
 
 /// Apply one `key = value` assignment — any key load_scenario() accepts —
-/// to an existing scenario. This is the single-key counterpart of
-/// load_scenario() that the `opt` search spaces drive: a parameter axis
-/// names a scenario key and materialises each sampled point through here.
-/// A telemetry.* key switches the scenario's telemetry choice to owned
-/// options (mutating the current owned options when already owned). Throws
-/// std::runtime_error on unknown keys (with a nearest-key suggestion) or
-/// unparsable values.
+/// to an existing scenario, without validate(). A telemetry.* key switches
+/// the telemetry choice to owned options. Throws std::runtime_error on
+/// unknown keys (with a nearest-key suggestion) or text the field cannot
+/// hold.
 void apply_scenario_key(ScenarioConfig& scenario, const std::string& key,
                         const std::string& value);
 
@@ -77,13 +72,5 @@ void apply_scenario_key(ScenarioConfig& scenario, const std::string& key,
 /// The known scenario key nearest to `key` by edit distance, or "" when
 /// nothing is close enough to be a plausible typo.
 [[nodiscard]] std::string suggest_scenario_key(const std::string& key);
-
-/// The candidate nearest to `key` by edit distance, or "" when nothing is
-/// within the typo threshold. The generic engine behind
-/// suggest_scenario_key(), exposed so layered config formats (fleet files
-/// accept fleet.* keys *plus* every scenario key) can suggest across their
-/// combined key set instead of re-implementing the distance metric.
-[[nodiscard]] std::string suggest_key(const std::string& key,
-                                      const std::vector<std::string>& candidates);
 
 }  // namespace aetr::core

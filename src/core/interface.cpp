@@ -212,8 +212,8 @@ void AerToI2sInterface::restore_state(BlobReader& r) {
   spi_readout_ = r.b();
   readout_latch_ = r.u32();
   drain_deadlines_.clear();
-  const auto nd = r.u64();
-  for (std::uint64_t i = 0; i < nd; ++i) arm_drain_deadline(r.time());
+  const auto nd = r.count(8);
+  for (std::size_t i = 0; i < nd; ++i) arm_drain_deadline(r.time());
 }
 
 }  // namespace aetr::core

@@ -1,70 +1,42 @@
 #include "core/scenario.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
+#include "core/config_io.hpp"
 #include "core/session.hpp"
 
 namespace aetr::core {
 
-namespace {
-
-void check_prob(double p, const char* what) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument(std::string{"ScenarioConfig: "} + what +
-                                " must be a probability in [0, 1]");
-  }
-}
-
-}  // namespace
-
 void ScenarioConfig::validate() const {
-  // Interface geometry (mirrors the block constructors so a bad scenario
-  // fails before anything is built).
-  if (interface.fifo.capacity_words == 0) {
-    throw std::invalid_argument("ScenarioConfig: fifo capacity must be > 0");
-  }
-  if (interface.fifo.batch_threshold == 0 ||
-      interface.fifo.batch_threshold > interface.fifo.capacity_words) {
-    throw std::invalid_argument(
-        "ScenarioConfig: fifo batch threshold must be in [1, capacity]");
-  }
-  if (interface.front_end.sync_stages == 0) {
-    throw std::invalid_argument(
-        "ScenarioConfig: front-end needs at least one synchroniser stage");
-  }
-  if (interface.i2s.word_bits == 0 || interface.i2s.word_bits > 32) {
-    throw std::invalid_argument(
-        "ScenarioConfig: i2s word width must be in [1, 32] bits");
-  }
-  if (interface.clock.theta_div == 0) {
-    throw std::invalid_argument("ScenarioConfig: theta_div must be > 0");
-  }
-  check_prob(interface.front_end.metastability_prob, "metastability_prob");
-  if (cooldown < Time::zero()) {
-    throw std::invalid_argument("ScenarioConfig: cooldown must be >= 0");
-  }
-  // Fault plan.
-  check_prob(faults.aer.drop_req_prob, "fault.aer.drop_req_prob");
-  check_prob(faults.aer.stuck_ack_prob, "fault.aer.stuck_ack_prob");
-  check_prob(faults.aer.addr_bit_flip_prob, "fault.aer.addr_bit_flip_prob");
-  check_prob(faults.aer.runt_req_prob, "fault.aer.runt_req_prob");
-  check_prob(faults.fifo.cell_bit_flip_prob, "fault.fifo.cell_bit_flip_prob");
-  check_prob(faults.spi.word_bit_flip_prob, "fault.spi.word_bit_flip_prob");
-  check_prob(faults.i2s.bit_error_rate, "fault.i2s.bit_error_rate");
-  if (faults.clock.period_jitter_rel < 0.0 ||
-      faults.clock.wake_jitter_rel < 0.0) {
-    throw std::invalid_argument(
-        "ScenarioConfig: clock jitter sigmas must be >= 0");
+  scenario_schema().check(*this);
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string{"config: "} + what);
+  };
+  if (interface.fifo.batch_threshold > interface.fifo.capacity_words) {
+    fail("fifo.batch_threshold must not exceed fifo.capacity_words");
   }
   if (faults.aer.runt_req_prob > 0.0 && faults.aer.runt_width <= Time::zero()) {
-    throw std::invalid_argument(
-        "ScenarioConfig: runt_width must be > 0 when runts are injected");
+    fail("fault.aer.runt_width_ns must be > 0 when runts are injected");
   }
   if (faults.recovery.watchdog &&
       faults.recovery.watchdog_timeout <= Time::zero()) {
-    throw std::invalid_argument(
-        "ScenarioConfig: watchdog_timeout must be > 0");
+    fail("fault.recovery.watchdog_timeout_us must be > 0 with the watchdog on");
+  }
+  // The sampling schedule's last level ends at Tmin * theta_div *
+  // (2^(n_div+1) - 1), Tmin being the ring period times 2^(divider stages):
+  // the whole span must fit the time range with room for the stream.
+  const auto& clk = interface.clock;
+  const double span_ps =
+      1e12 / clk.ring_frequency.to_hz() *
+      std::ldexp(1.0, static_cast<int>(clk.ref_divider_stages +
+                                       clk.sampling_divider_stages)) *
+      clk.theta_div * (std::ldexp(1.0, static_cast<int>(clk.n_div) + 1) - 1.0);
+  if (!(span_ps < 0x1p62)) {
+    fail("clock.ring_mhz, clock.ref_divider_stages, "
+         "clock.sampling_divider_stages, clock.theta_div and clock.n_div "
+         "give a sampling schedule longer than the time range");
   }
 }
 

@@ -51,6 +51,14 @@ class TelemetryChoice {
     return c;
   }
 
+  /// Switch to runner-owned options — keeping the current ones when already
+  /// owned, the defaults otherwise — and return them for editing. This is
+  /// how a telemetry.* config key lands.
+  telemetry::SessionOptions& own() {
+    if (mode_ != Mode::kOwned) *this = owned({});
+    return options_;
+  }
+
   [[nodiscard]] Mode mode() const { return mode_; }
   /// Session options (meaningful in kOwned mode; defaults otherwise).
   [[nodiscard]] const telemetry::SessionOptions& options() const {
@@ -103,8 +111,10 @@ struct ScenarioConfig {
   SessionLimits session;            ///< streaming-session lifecycle limits
   TelemetryChoice telemetry;        ///< off / runner-owned / borrowed
 
-  /// Throws std::invalid_argument on the first inconsistency (probability
-  /// out of [0,1], zero-width runt, degenerate FIFO geometry, ...).
+  /// Throws std::invalid_argument naming the key on the first value outside
+  /// its declared domain (core::scenario_schema()), then on the first
+  /// cross-key inconsistency (batch threshold above capacity, zero-width
+  /// runt, zero watchdog timeout, divider span beyond the time range).
   void validate() const;
 };
 

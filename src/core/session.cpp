@@ -543,9 +543,9 @@ struct Session::Impl {
     last_event_time = r.time();
     pending.clear();
     pending_head = 0;
-    const std::uint64_t n_pending = r.u64();
+    const std::size_t n_pending = r.count(10);  // u16 + time
     pending.reserve(n_pending);
-    for (std::uint64_t i = 0; i < n_pending; ++i) {
+    for (std::size_t i = 0; i < n_pending; ++i) {
       const std::uint16_t addr = r.u16();
       pending.push_back(aer::Event{addr, r.time()});
     }
@@ -584,9 +584,9 @@ struct Session::Impl {
     mcu->restore_state(r);
 
     latencies.clear();
-    const std::uint64_t n_lat = r.u64();
+    const std::size_t n_lat = r.count(8);
     latencies.reserve(n_lat);
-    for (std::uint64_t i = 0; i < n_lat; ++i) latencies.push_back(r.f64());
+    for (std::size_t i = 0; i < n_lat; ++i) latencies.push_back(r.f64());
     harvested = r.u64();
 
     if (tel != nullptr) tel->restore_state(r);

@@ -152,4 +152,38 @@ class Session {
   std::unique_ptr<Impl> impl_;
 };
 
+/// The ingest step of both streaming front doors (aetr-serve run and
+/// net::Connection): feed through backpressure, and snapshot at absolute
+/// multiples of `every` on the simulated clock (<= 0: never), so the
+/// schedule is a pure function of the stream, not of wall time or of where
+/// a killed run resumed. Construct after any restore().
+class Ingest {
+ public:
+  Ingest(Session& session, Time every) : session_{&session}, every_{every} {
+    if (every_ > Time::zero()) next_ = after(session.position());
+  }
+
+  /// Feed `ev`; when a snapshot falls due, advance the session to the due
+  /// instant and call on_snapshot() there.
+  template <typename OnSnapshot>
+  void push(const aer::Event& ev, OnSnapshot&& on_snapshot) {
+    // A full buffer holds only events at or before ev.time: advancing to
+    // the stream position drains it.
+    while (!session_->feed(ev)) session_->advance_to(ev.time);
+    if (every_ > Time::zero() && ev.time >= next_) {
+      session_->advance_to(next_);
+      on_snapshot();
+      next_ = after(ev.time);
+    }
+  }
+
+ private:
+  /// The first multiple of the interval strictly after `t` (t >= 0).
+  [[nodiscard]] Time after(Time t) const { return every_ * (t / every_ + 1); }
+
+  Session* session_;
+  Time every_;
+  Time next_{Time::zero()};
+};
+
 }  // namespace aetr::core

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
+#include "fleet/fleet_io.hpp"
 #include "gen/sources.hpp"
 #include "runtime/seed.hpp"
 #include "runtime/sweep.hpp"
@@ -304,43 +305,11 @@ const char* to_string(Arbitration a) {
   return a == Arbitration::kFifo ? "fifo" : "round_robin";
 }
 
-Arbitration parse_arbitration(const std::string& s) {
-  if (s == "fifo") return Arbitration::kFifo;
-  if (s == "round_robin") return Arbitration::kRoundRobin;
-  throw std::runtime_error("fleet: unknown arbitration '" + s +
-                           "' (expected fifo or round_robin)");
-}
-
 void FleetConfig::validate() const {
-  const auto fail = [](const std::string& what) {
-    throw std::invalid_argument("fleet: " + what);
+  fleet_schema().check(*this);
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string{"fleet: "} + what);
   };
-  // Uplink words carry 32-bit node ids and per-node sequence numbers.
-  constexpr auto kMaxIndex = std::numeric_limits<std::uint32_t>::max();
-  if (nodes == 0) fail("nodes must be >= 1");
-  if (nodes > kMaxIndex) {
-    fail("nodes must be <= " + std::to_string(kMaxIndex) +
-         " (uplink words carry 32-bit node ids)");
-  }
-  if (gateways == 0) fail("gateways must be >= 1");
-  if (!(link.bandwidth_words_per_sec > 0.0) ||
-      !std::isfinite(link.bandwidth_words_per_sec)) {
-    fail("link.bandwidth_words_per_sec must be finite and > 0");
-  }
-  if (link.queue_words == 0) fail("link.queue_words must be >= 1");
-  if (!(rate_hz > 0.0) || !std::isfinite(rate_hz)) {
-    fail("rate_hz must be finite and > 0");
-  }
-  if (events_per_node == 0) fail("events_per_node must be >= 1");
-  if (events_per_node > kMaxIndex) {
-    fail("events_per_node must be <= " + std::to_string(kMaxIndex) +
-         " (uplink words carry 32-bit sequence numbers)");
-  }
-  if (rate_spread < 0.0 || rate_spread >= 1.0) {
-    fail("rate_spread must be in [0, 1)");
-  }
-  if (fault_level < 0.0) fail("fault_level must be >= 0");
-  if (node_energy_budget_j < 0.0) fail("node_energy_budget_j must be >= 0");
   if (!base.attach_mcu) {
     fail("base scenario must attach the MCU (delivery instants feed the "
          "uplink model)");

@@ -58,9 +58,8 @@ enum class Arbitration {
   kRoundRobin,  ///< one word per node per turn, ring entry in arrival order
 };
 
+/// "fifo" / "round_robin": the link.arbitration spellings.
 [[nodiscard]] const char* to_string(Arbitration a);
-/// Parses "fifo" / "round_robin"; throws std::runtime_error otherwise.
-[[nodiscard]] Arbitration parse_arbitration(const std::string& s);
 
 /// The shared node->gateway uplink.
 struct LinkConfig {
@@ -104,7 +103,9 @@ struct FleetConfig {
   /// Root seed; every per-node stream derives from (seed, node, stream).
   std::uint64_t seed = 1;
 
-  /// Throws std::invalid_argument on the first inconsistency.
+  /// Throws std::invalid_argument naming the key on the first value
+  /// outside its declared domain (fleet_schema()), then on the first
+  /// cross-key inconsistency; ends with base.validate().
   void validate() const;
 };
 

@@ -2,128 +2,59 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/config_io.hpp"
-#include "core/key_schema.hpp"
 
 namespace aetr::fleet {
 
 namespace {
 
 using core::KeySchema;
-using core::keyio::parse_bool;
-using core::keyio::parse_double;
-using core::keyio::parse_uint;
+using namespace core::domain;
+using core::units::plain;
+
+// Uplink words carry 32-bit node ids and per-node sequence numbers.
+constexpr double kMaxIndex = std::numeric_limits<std::uint32_t>::max();
 
 KeySchema<FleetConfig> make_fleet_schema() {
   KeySchema<FleetConfig> s{"fleet config"};
   s.comment("aetr fleet configuration");
-  s.add(
-      "fleet.nodes",
-      [](FleetConfig& c, const std::string& v) {
-        c.nodes = static_cast<std::size_t>(parse_uint(v, "fleet.nodes"));
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.nodes; });
-  s.add(
-      "fleet.gateways",
-      [](FleetConfig& c, const std::string& v) {
-        c.gateways = static_cast<std::size_t>(parse_uint(v, "fleet.gateways"));
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.gateways; });
-  s.add(
-      "fleet.rate_hz",
-      [](FleetConfig& c, const std::string& v) {
-        c.rate_hz = parse_double(v, "fleet.rate_hz");
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.rate_hz; });
-  s.add(
-      "fleet.events_per_node",
-      [](FleetConfig& c, const std::string& v) {
-        c.events_per_node =
-            static_cast<std::size_t>(parse_uint(v, "fleet.events_per_node"));
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.events_per_node; });
-  s.add(
-      "fleet.rate_spread",
-      [](FleetConfig& c, const std::string& v) {
-        c.rate_spread = parse_double(v, "fleet.rate_spread");
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.rate_spread; });
-  s.add(
-      "fleet.fault_level",
-      [](FleetConfig& c, const std::string& v) {
-        c.fault_level = parse_double(v, "fleet.fault_level");
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.fault_level; });
-  s.add(
-      "fleet.node_energy_budget_j",
-      [](FleetConfig& c, const std::string& v) {
-        c.node_energy_budget_j = parse_double(v, "fleet.node_energy_budget_j");
-      },
-      [](std::ostream& os, const FleetConfig& c) {
-        os << c.node_energy_budget_j;
-      });
-  s.add(
-      "fleet.health",
-      [](FleetConfig& c, const std::string& v) {
-        c.health = parse_bool(v, "fleet.health");
-      },
-      [](std::ostream& os, const FleetConfig& c) {
-        os << (c.health ? "true" : "false");
-      });
-  s.add(
-      "fleet.seed",
-      [](FleetConfig& c, const std::string& v) {
-        c.seed = parse_uint(v, "fleet.seed");
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.seed; });
-  s.add(
-      "link.bandwidth_words_per_sec",
-      [](FleetConfig& c, const std::string& v) {
-        c.link.bandwidth_words_per_sec =
-            parse_double(v, "link.bandwidth_words_per_sec");
-      },
-      [](std::ostream& os, const FleetConfig& c) {
-        os << c.link.bandwidth_words_per_sec;
-      });
-  s.add(
-      "link.queue_words",
-      [](FleetConfig& c, const std::string& v) {
-        c.link.queue_words =
-            static_cast<std::size_t>(parse_uint(v, "link.queue_words"));
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.link.queue_words; });
-  s.add(
-      "link.arbitration",
-      [](FleetConfig& c, const std::string& v) {
-        c.link.arbitration = parse_arbitration(v);
-      },
-      [](std::ostream& os, const FleetConfig& c) {
-        os << to_string(c.link.arbitration);
-      });
+  s.integer("fleet.nodes", AETR_FIELD(nodes), 1, kMaxIndex,
+            "uplink words carry 32-bit node ids");
+  s.integer("fleet.gateways", AETR_FIELD(gateways), 1);
+  s.number("fleet.rate_hz", AETR_FIELD(rate_hz), plain, kPositive);
+  s.integer("fleet.events_per_node", AETR_FIELD(events_per_node), 1,
+            kMaxIndex, "uplink words carry 32-bit sequence numbers");
+  s.number("fleet.rate_spread", AETR_FIELD(rate_spread), plain,
+           core::Domain{0.0, 1.0, false, true});
+  // Scales every fault probability of the per-node plan.
+  s.number("fleet.fault_level", AETR_FIELD(fault_level), plain, kProbability);
+  s.number("fleet.node_energy_budget_j", AETR_FIELD(node_energy_budget_j),
+           plain, kNonNegative);
+  s.flag("fleet.health", AETR_FIELD(health));
+  s.integer("fleet.seed", AETR_FIELD(seed));
+  s.number("link.bandwidth_words_per_sec",
+           AETR_FIELD(link.bandwidth_words_per_sec), plain, kPositive);
+  s.integer("link.queue_words", AETR_FIELD(link.queue_words), 1);
+  s.choice("link.arbitration", AETR_FIELD(link.arbitration),
+           {{to_string(Arbitration::kFifo), Arbitration::kFifo},
+            {to_string(Arbitration::kRoundRobin), Arbitration::kRoundRobin}});
   // Every scenario key (which itself embeds every interface key) applies
-  // to the per-node base scenario — one shared table instead of the old
-  // three-way fall-through.
+  // to the per-node base scenario.
   s.comment("per-node base scenario");
-  s.extend<core::ScenarioConfig>(
-      core::scenario_schema(),
-      [](FleetConfig& c) -> core::ScenarioConfig& { return c.base; },
-      [](const FleetConfig& c) -> const core::ScenarioConfig& {
-        return c.base;
-      });
+  s.extend(core::scenario_schema(), AETR_FIELD(base));
   return s;
 }
+
+}  // namespace
 
 const KeySchema<FleetConfig>& fleet_schema() {
   static const KeySchema<FleetConfig> schema = make_fleet_schema();
   return schema;
 }
-
-}  // namespace
-
-std::vector<std::string> fleet_keys() { return fleet_schema().keys(); }
 
 void apply_fleet_key(FleetConfig& config, const std::string& key,
                      const std::string& value) {
@@ -132,12 +63,7 @@ void apply_fleet_key(FleetConfig& config, const std::string& key,
 
 FleetConfig load_fleet(std::istream& is) {
   FleetConfig config;
-  core::keyio::parse_stream(
-      is, "fleet config",
-      [&](const std::string& key, const std::string& value,
-          std::size_t line_no) {
-        fleet_schema().apply(config, key, value, line_no);
-      });
+  fleet_schema().read(is, config);
   config.validate();
   return config;
 }

@@ -9,9 +9,15 @@
 #include <string>
 #include <vector>
 
+#include "core/key_schema.hpp"
 #include "fleet/fleet.hpp"
 
 namespace aetr::fleet {
+
+/// The declarative schema behind load_fleet()/dump_fleet(): fleet.* and
+/// link.* declarations, then every scenario key applied to the base
+/// scenario. FleetConfig::validate() walks its domains.
+[[nodiscard]] const core::KeySchema<FleetConfig>& fleet_schema();
 
 /// Parse a fleet configuration stream on top of default values. Throws
 /// std::runtime_error on syntax errors, unknown keys, or values that fail
@@ -25,14 +31,10 @@ namespace aetr::fleet {
 [[nodiscard]] std::string dump_fleet(const FleetConfig& config);
 
 /// Apply one `key = value` assignment — any key load_fleet() accepts — to an
-/// existing config. Scenario keys fall through to the base scenario via
-/// core::apply_scenario_key. Throws std::runtime_error on unknown keys (with
-/// a nearest-key suggestion) or unparsable values.
+/// existing config; scenario keys apply to the base scenario. Throws
+/// std::runtime_error on unknown keys (with a nearest-key suggestion) or
+/// text the field cannot hold.
 void apply_fleet_key(FleetConfig& config, const std::string& key,
                      const std::string& value);
-
-/// Every key load_fleet() understands (fleet.*, link.*, then every scenario
-/// key), in sorted order.
-[[nodiscard]] std::vector<std::string> fleet_keys();
 
 }  // namespace aetr::fleet

@@ -161,9 +161,9 @@ void AerFrontEnd::restore_state(BlobReader& r) {
   for (auto& s : rs) s = r.u64();
   rng_.set_state(rs);
   records_.clear();
-  const auto nr = r.u64();
+  const auto nr = r.count(22);  // u16 + time + time + u32
   records_.reserve(nr);
-  for (std::uint64_t i = 0; i < nr; ++i) {
+  for (std::size_t i = 0; i < nr; ++i) {
     CaptureRecord rec;
     rec.request.address = r.u16();
     rec.request.time = r.time();

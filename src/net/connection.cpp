@@ -190,19 +190,11 @@ void Connection::handle_hello(const Frame& f) {
     }
   }
 
-  // Periodic snapshot cadence on the simulated clock, anchored at absolute
-  // multiples of the interval so the schedule is a pure function of the
-  // stream — a resumed gateway checkpoints at the same instants the killed
-  // one would have (same rule as aetr-serve run).
-  snapshotting_ =
-      !snapshot_path_.empty() && config_.snapshot_interval_sec > 0.0;
-  if (snapshotting_) {
-    snapshot_interval_ = Time::sec(config_.snapshot_interval_sec);
-    next_snapshot_ = Time::zero();
-    while (next_snapshot_ <= session_->position()) {
-      next_snapshot_ += snapshot_interval_;
-    }
-  }
+  // A resumed gateway checkpoints at the same simulated instants the killed
+  // one would have (core::Ingest, shared with aetr-serve run).
+  ingest_.emplace(*session_, snapshot_path_.empty()
+                                 ? Time::zero()
+                                 : Time::sec(config_.snapshot_interval_sec));
 
   credit_ = config_.credit_window;
   HelloAck ack;
@@ -239,15 +231,8 @@ void Connection::handle_data(const Frame& f) {
     }
     last_time_ = ev.time;
     have_last_time_ = true;
-    // aetr-serve's pump: backpressure means the buffer is full of events
-    // at or before ev.time, so advancing to the stream position drains it.
-    while (!session_->feed(ev)) session_->advance_to(ev.time);
+    ingest_->push(ev, [this] { take_snapshot(); });
     ++ingested_;
-    if (snapshotting_ && ev.time >= next_snapshot_) {
-      session_->advance_to(next_snapshot_);
-      take_snapshot();
-      while (next_snapshot_ <= ev.time) next_snapshot_ += snapshot_interval_;
-    }
   }
   // Replenish: the window re-opens as soon as the chunk is in the session.
   credit_ += events.size();

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -120,9 +121,7 @@ class Connection {
   std::uint64_t ingested_{0};
   Time last_time_{Time::zero()};
   bool have_last_time_{false};
-  bool snapshotting_{false};
-  Time snapshot_interval_{Time::zero()};
-  Time next_snapshot_{Time::zero()};
+  std::optional<core::Ingest> ingest_;  ///< set once the session is live
   std::string snapshot_path_;
   std::uint64_t last_snapshot_bytes_{0};
 };

@@ -110,11 +110,8 @@ SearchSpace& SearchSpace::add(ParamAxis axis) {
   // mid-optimisation.
   const auto& schema = core::scenario_schema();
   if (!schema.known(axis.key)) {
-    std::string msg = "axis '" + axis.key + "': unknown scenario key";
-    if (const std::string hint = schema.suggest(axis.key); !hint.empty()) {
-      msg += " (did you mean '" + hint + "'?)";
-    }
-    fail(msg);
+    fail("axis '" + axis.key + "': unknown scenario key" +
+         schema.did_you_mean(axis.key));
   }
   for (const auto& existing : axes_) {
     if (existing.key == axis.key) fail("duplicate axis '" + axis.key + "'");
@@ -129,6 +126,18 @@ SearchSpace& SearchSpace::add(ParamAxis axis) {
     if ((axis.kind == AxisKind::kLog || axis.kind == AxisKind::kLogInt) &&
         axis.lo <= 0.0) {
       fail("axis '" + axis.key + "': log domain needs lo > 0");
+    }
+  }
+  // Endpoints (or each choice) must lie in the key's declared domain, so an
+  // out-of-domain axis fails here, not at a sampled point mid-run.
+  const std::vector<double> probes =
+      axis.kind == AxisKind::kChoice ? axis.choices
+                                     : std::vector<double>{axis.lo, axis.hi};
+  for (const double v : probes) {
+    try {
+      schema.check_value(axis.key, axis.format(v));
+    } catch (const std::exception& e) {
+      fail("axis '" + axis.key + "': " + e.what());
     }
   }
   axes_.push_back(std::move(axis));

@@ -4,7 +4,9 @@
 // helpers. All integers are written little-endian regardless of host order,
 // doubles as IEEE-754 bit patterns via u64, and strings/byte-spans as a u64
 // length prefix followed by the raw bytes. Readers throw std::runtime_error
-// on truncation so a torn snapshot file is rejected rather than half-loaded.
+// on truncation so a torn snapshot file is rejected rather than half-loaded,
+// and element counts are read through BlobReader::count(), which bounds
+// them by the bytes left before any container is sized from them.
 #pragma once
 
 #include <cstddef>
@@ -35,11 +37,15 @@ class BlobWriter {
   void time(Time t) { i64(t.count_ps()); }
   void str(std::string_view s) {
     u64(s.size());
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
+    raw(s.data(), s.size());
   }
+  // resize + memcpy rather than a range insert: GCC 12 misreads the
+  // inserted range's bounds at LTO link (-Wstringop-overflow).
   void raw(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    bytes_.insert(bytes_.end(), p, p + n);
+    if (n == 0) return;
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    std::memcpy(bytes_.data() + at, data, n);
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
@@ -89,6 +95,19 @@ class BlobReader {
     need(n);
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
+  }
+
+  /// A u64 element count, accepted only when that many items of at least
+  /// `min_item_bytes` each fit in the bytes left: a forged count fails
+  /// here, before it can size a reserve().
+  std::size_t count(std::size_t min_item_bytes) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / min_item_bytes) {
+      throw std::runtime_error("blob: count " + std::to_string(n) +
+                               " exceeds the " + std::to_string(remaining()) +
+                               " bytes left");
+    }
+    return static_cast<std::size_t>(n);
   }
 
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }

@@ -433,6 +433,21 @@ TEST(NetConnection, BadConfigTextIsNacked) {
             std::string::npos);
 }
 
+TEST(NetConnection, OutOfDomainConfigValueIsNackedNamingTheKey) {
+  // One value the model cannot mean, one the field cannot hold: each NACK
+  // names the offending key so the client knows which line to fix.
+  for (const char* text :
+       {"fault.aer.drop_req_prob = 1.5\n", "i2s.sck_mhz = 0\n",
+        "clock.wake_latency_ns = nan\n"}) {
+    Harness h;
+    EXPECT_FALSE(h.hello("alpha", text));
+    ASSERT_EQ(h.last().type, MsgType::kNack) << text;
+    const std::string reason = decode_nack(h.last().payload).reason;
+    const std::string key{text, std::string{text}.find(' ')};
+    EXPECT_NE(reason.find(key), std::string::npos) << reason;
+  }
+}
+
 TEST(NetConnection, HostileSessionNamesAreNacked) {
   for (const char* name :
        {"", "../../etc/passwd", "a/b", "x y", ".hidden",

@@ -88,6 +88,8 @@ TEST(SearchSpace, BuilderRejectsDegenerateDomains) {
                std::runtime_error);
   EXPECT_THROW(space.linear("clock.n_div", 4, 10, 0), std::runtime_error);
   EXPECT_THROW(space.choice("clock.n_div", {}), std::runtime_error);
+  // An endpoint outside the key's declared domain fails at construction.
+  EXPECT_THROW(space.integer("clock.n_div", 4, 40), std::runtime_error);
   space.integer("clock.n_div", 4, 10);
   EXPECT_THROW(space.integer("clock.n_div", 4, 10), std::runtime_error);
 }

@@ -4,12 +4,17 @@
 //
 // A mid-stream blob is mutated region by region — magic, version, config
 // fingerprint, session and component state, CRC-32 trailer — by single-bit
-// flips, then truncated and extended. Every mutant must throw. The byte
-// codec's own fuzzers live in test_net_wire.cpp.
+// flips, then truncated and extended. Every mutant must throw. A CRC-valid
+// blob with a forged element count must throw too, before any container is
+// sized from the count. The byte codec's own fuzzers live in
+// test_net_wire.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -19,6 +24,29 @@
 #include "core/session.hpp"
 #include "fault/fault_plan.hpp"
 #include "gen/sources.hpp"
+#include "util/crc32.hpp"
+
+// Largest single allocation requested while armed. Requests above the cap
+// fail without reaching malloc, so an unbounded reserve() shows up as a
+// recorded size (and a std::bad_alloc) instead of exhausting memory.
+namespace {
+std::atomic<bool> g_armed{false};
+std::atomic<std::size_t> g_largest{0};
+constexpr std::size_t kAllocCap = std::size_t{64} << 20;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_armed.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest.compare_exchange_weak(seen, n)) {
+    }
+    if (n > kAllocCap) throw std::bad_alloc{};
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc{};
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -31,19 +59,34 @@ core::ScenarioConfig scenario() {
   return sc;
 }
 
+/// The fault scenario with tracing and metrics on (no artifact paths), so
+/// the telemetry sections are in the blob too.
+core::ScenarioConfig traced_scenario() {
+  core::ScenarioConfig sc = scenario();
+  telemetry::SessionOptions tel;
+  tel.trace = true;
+  tel.metrics = true;
+  tel.metrics_window = Time::us(50.0);
+  sc.telemetry = core::TelemetryChoice::owned(tel);
+  return sc;
+}
+
 /// Snapshot taken mid-stream: events delivered, some still buffered.
-std::vector<std::uint8_t> mid_stream_blob() {
+std::vector<std::uint8_t> mid_stream_blob(
+    const core::ScenarioConfig& sc = scenario(), std::size_t n = 600,
+    std::size_t at = 400) {
   gen::PoissonSource source{100e3, 256, 9};
-  const aer::EventStream events = gen::take(source, 600);
-  core::Session s{scenario()};
+  const aer::EventStream events = gen::take(source, n);
+  core::Session s{sc};
   s.feed_all(events);
-  s.advance_to(events[400].time);
+  s.advance_to(events[at].time);
   return s.snapshot();
 }
 
 /// Returns the restore() error text, or "" when the blob was accepted.
-std::string restore_error(const std::vector<std::uint8_t>& blob) {
-  core::Session fresh{scenario()};
+std::string restore_error(const std::vector<std::uint8_t>& blob,
+                          const core::ScenarioConfig& sc = scenario()) {
+  core::Session fresh{sc};
   try {
     fresh.restore(blob);
   } catch (const std::runtime_error& e) {
@@ -138,6 +181,50 @@ TEST(SnapshotFuzz, EveryExtensionThrows) {
       doubled.push_back(blob[blob.size() - 4 + i % 4]);
     }
     EXPECT_NE(restore_error(doubled), "") << "trailer repeated, +" << extra;
+  }
+}
+
+TEST(SnapshotFuzz, ForgedCountsThrowBeforeAnyLargeAllocation) {
+  // Every u64 position of the state region in turn is rewritten to 2^40
+  // and to (bytes left after it) + 1, with the CRC trailer recomputed so
+  // the forgery reaches the state readers. Wherever the position is an
+  // element count, the count guard must reject it; nowhere may a forged
+  // value size an allocation beyond a few times the blob.
+  for (const auto& sc : {scenario(), traced_scenario()}) {
+    const auto blob = mid_stream_blob(sc, 24, 16);
+    const Region state = regions(blob)[3];
+    const std::size_t payload = blob.size() - 4;
+    std::size_t guarded = 0;
+    for (std::size_t off = state.begin; off + 8 <= payload; ++off) {
+      const std::uint64_t left = payload - (off + 8);
+      for (const std::uint64_t forged : {std::uint64_t{1} << 40, left + 1}) {
+        auto mutant = blob;
+        for (std::size_t i = 0; i < 8; ++i) {
+          mutant[off + i] = static_cast<std::uint8_t>(forged >> (8 * i));
+        }
+        const std::uint32_t crc = crc32(mutant.data(), payload);
+        for (std::size_t i = 0; i < 4; ++i) {
+          mutant[payload + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+        }
+        core::Session fresh{sc};
+        g_largest = 0;
+        g_armed = true;
+        std::string error;
+        try {
+          fresh.restore(mutant);
+        } catch (const std::exception& e) {
+          error = e.what();
+        }
+        g_armed = false;
+        EXPECT_LE(g_largest.load(), 64 * blob.size())
+            << "offset " << off << " forged " << forged << ": " << error;
+        if (error.find("blob: count") != std::string::npos) ++guarded;
+      }
+    }
+    // Both forgeries of every counted section (pending events, FIFO words,
+    // records, sender queues, violations, MCU logs, latencies, trace and
+    // metric series) are caught by the guard.
+    EXPECT_GE(guarded, 20u);
   }
 }
 

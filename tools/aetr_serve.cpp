@@ -261,9 +261,6 @@ int cmd_run(const RunArgs& args) {
   const double interval_sec = args.snapshot_interval_sec >= 0.0
                                   ? args.snapshot_interval_sec
                                   : scenario.session.snapshot_interval_sec;
-  const bool snapshotting = !args.snapshot.empty() && interval_sec > 0.0;
-  const aetr::Time interval =
-      snapshotting ? aetr::Time::sec(interval_sec) : aetr::Time::zero();
 
   aetr::core::Session session{scenario};
   if (!args.keep_history) session.set_keep_history(false);
@@ -283,13 +280,9 @@ int cmd_run(const RunArgs& args) {
               << " ps, skipping " << to_skip << " already-fed events\n";
   }
 
-  // Snapshot cadence on the *simulated* clock, anchored at multiples of
-  // the interval from zero so the schedule is a pure function of the
-  // stream, not of wall time or of where a previous run was killed.
-  aetr::Time next_snapshot = aetr::Time::zero();
-  if (snapshotting) {
-    while (next_snapshot <= session.position()) next_snapshot += interval;
-  }
+  aetr::core::Ingest ingest{session, args.snapshot.empty()
+                                         ? aetr::Time::zero()
+                                         : aetr::Time::sec(interval_sec)};
 
   std::uint64_t ingested = 0;
   std::uint64_t snapshots = 0;
@@ -301,20 +294,13 @@ int cmd_run(const RunArgs& args) {
       --to_skip;
       return g_stop == 0;
     }
-    while (!session.feed(ev)) {
-      // Backpressure: the buffer is full of events at or before ev.time,
-      // so advancing to the stream position drains all of it.
-      session.advance_to(ev.time);
-    }
-    ++ingested;
-    if (snapshotting && ev.time >= next_snapshot) {
-      session.advance_to(next_snapshot);
+    ingest.push(ev, [&] {
       const auto s0 = std::chrono::steady_clock::now();
       aetr::net::write_blob_atomic(args.snapshot, session.snapshot());
       snapshot_sec += wall_sec(s0);
       ++snapshots;
-      while (next_snapshot <= ev.time) next_snapshot += interval;
-    }
+    });
+    ++ingested;
     if (args.pace_us > 0 && ingested % args.pace_every == 0) {
       usleep(static_cast<useconds_t>(args.pace_us));
     }
