@@ -467,13 +467,6 @@ class KeySchema {
     return hint.empty() ? "" : " (did you mean '" + hint + "'?)";
   }
 
-  [[noreturn]] void throw_unknown(const std::string& key,
-                                  std::size_t line_no) const {
-    std::string msg = context_ + ": unknown key";
-    if (line_no != 0) msg += " at line " + std::to_string(line_no);
-    throw std::runtime_error(msg + ": " + key + did_you_mean(key));
-  }
-
   /// Emit every entry in registration order in one pass: comment rows as
   /// "# <text>", keys as "key = <value>".
   void dump(std::ostream& os, const Config& config) const {
@@ -491,6 +484,13 @@ class KeySchema {
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
 
  private:
+  [[noreturn]] void throw_unknown(const std::string& key,
+                                  std::size_t line_no) const {
+    std::string msg = context_ + ": unknown key";
+    if (line_no != 0) msg += " at line " + std::to_string(line_no);
+    throw std::runtime_error(msg + ": " + key + did_you_mean(key));
+  }
+
   static Entry named(std::string key, KeyKind kind) {
     Entry e;
     e.key = std::move(key);
